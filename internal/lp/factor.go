@@ -33,8 +33,8 @@ type basisFactor interface {
 	// called before update for the same pivot.
 	pivotRow(r int, rho []float64)
 	// willAccept reports whether an update for a pivot at position r with
-	// FTRAN vector w can be applied safely (update file not full, pivot not
-	// degenerate relative to the transformed column). The solver asks
+	// FTRAN vector w can be applied safely (pivot cap not reached, pivot
+	// not degenerate relative to the transformed column). The solver asks
 	// BEFORE committing the pivot, so a refusal refactorizes the current —
 	// still consistent — basis and retries with clean numbers; the factor
 	// and the solver's basis bookkeeping can never drift apart.
@@ -42,8 +42,19 @@ type basisFactor interface {
 	// update applies the basis change "column entering at position r" given
 	// the FTRAN vector w = B⁻¹·A_enter. Call only after willAccept.
 	update(r int, w []float64)
-	// updates reports the number of updates applied since the last refactor.
+	// rebuild refactorizes, as refactor does, when the updates applied
+	// since the last refactorization have made FTRAN/BTRAN dearer than a
+	// fresh factorization would, and reports whether it did. It is a cost
+	// measure only: willAccept answers as though the updates were still
+	// applied, so the pivot rules do not depend on when it fires (the
+	// rounding of their inputs does; see ump.PlanFormat).
+	rebuild(basis []int, cols [][]nz) bool
+	// updates reports the number of updates applied since the last refactor
+	// or rebuild.
 	updates() int
+	// etaNonzeros reports the entries held by the update file since the
+	// last refactor (0 for a representation that keeps none).
+	etaNonzeros() int
 }
 
 // denseFactor is the original engine: an explicit m×m basis inverse kept
@@ -211,4 +222,12 @@ func (f *denseFactor) update(r int, w []float64) {
 	f.nUpdates++
 }
 
+// rebuild: an update costs the dense engine the same O(m²) however many
+// came before, so it never rebuilds.
+func (f *denseFactor) rebuild([]int, [][]nz) bool { return false }
+
 func (f *denseFactor) updates() int { return f.nUpdates }
+
+// etaNonzeros: updates are folded into the explicit inverse; there is no
+// eta file.
+func (f *denseFactor) etaNonzeros() int { return 0 }

@@ -1,6 +1,8 @@
 // Package lp implements a self-contained linear programming solver: a
 // bounded-variable, two-phase revised simplex method with sparse constraint
-// columns and a dense, explicitly maintained basis inverse.
+// columns, Devex pricing and a sparse LU factorization of the basis updated
+// by a product-form eta file (a dense explicit inverse remains selectable
+// as Options.Engine = EngineDense).
 //
 // The solver targets the optimization problems of the paper's utility
 // maximization (O-UMP and F-UMP and the LP relaxations used by the BIP
@@ -183,8 +185,8 @@ type Engine int
 
 const (
 	// EngineSparseLU (the default) factorizes the basis as a sparse
-	// Markowitz-ordered LU with product-form eta updates and periodic
-	// refactorization.
+	// Markowitz-ordered LU with product-form eta updates, refactorized once
+	// the eta file outweighs the factors.
 	EngineSparseLU Engine = iota
 	// EngineDense maintains the explicit dense m×m basis inverse — the
 	// original engine, kept for differential testing and the
@@ -275,6 +277,11 @@ type SolveStats struct {
 	// EtaLength is the peak product-form eta-file length observed between
 	// refactorizations (update count for the dense engine).
 	EtaLength int
+	// EtaNonzeros is the peak number of entries the eta file held between
+	// refactorizations, pivots included — the quantity the sparse engine's
+	// refactorization rule bounds. The dense engine keeps no eta file and
+	// reports 0.
+	EtaNonzeros int
 	// WarmAttempted reports that a warm-start basis was supplied.
 	WarmAttempted bool
 	// WarmAccepted reports that the warm basis was installed; false with
@@ -290,7 +297,7 @@ type Options struct {
 	// internally.
 	Tol float64
 	// Bland forces Bland's rule from the first iteration (used by the pricing
-	// ablation benchmark). The default is Dantzig pricing with an automatic
+	// ablation benchmark). The default is Devex pricing with an automatic
 	// Bland fallback under degeneracy.
 	Bland bool
 	// Engine selects the basis representation; the zero value is the sparse
@@ -352,6 +359,7 @@ func solveCore(p *Problem, opts Options, warm *Basis) (*Solution, error) {
 		sol.Stats.WarmAccepted = warmAccepted
 		sol.Stats.Refactorizations = s.refactors
 		sol.Stats.EtaLength = s.etaPeak
+		sol.Stats.EtaNonzeros = s.etaNnzPeak
 	}
 	return sol, err
 }

@@ -17,6 +17,65 @@ import "math"
 type luFactor struct {
 	m int
 
+	// The live factorization. refactor builds the next one into spare and
+	// swaps the two on success, so a failed refactorization leaves this one
+	// (and the eta file) untouched and a successful one allocates nothing
+	// once both buffers have grown to the factor's size.
+	luData
+	spare luData
+
+	// Product-form eta file: eta t transforms B_t into B_{t+1} after the
+	// pivot (etaRow[t], pivot value etaPiv[t], off-pivot entries
+	// etaIdx/etaVal in [etaPtr[t], etaPtr[t+1])).
+	etaPtr []int32
+	etaRow []int32
+	etaPiv []float64
+	etaIdx []int32
+	etaVal []float64
+
+	// Scratch for solves and factorization.
+	work  []float64
+	work2 []float64
+	work3 []float64
+	order []int32 // elimination order: basis positions by column count
+	count []int32 // counting-sort buckets for order
+	// DFS state for Gilbert–Peierls.
+	stack    []int32
+	stackL   []int32 // per-stack-frame position within the L column
+	pattern  []int32
+	visited  []int32
+	visitGen int32
+
+	// pivots counts the updates since the last refactor, including those a
+	// rebuild has since folded into the factors; willAccept keys on it, so
+	// pivot acceptance is the same whether or not the cost rule fired.
+	// Once it reaches maxPivots every pivot is refused, so the solver
+	// refactorizes, refreshes its duals and resets Devex. That backstop
+	// no longer bounds FTRAN/BTRAN cost (the eta cost rule does), but it
+	// shapes the pivot path: on the degenerate F-UMP models, which have
+	// many optimal vertices, dropping it changes which optimum (and so
+	// which plan) the solver returns.
+	pivots    int
+	maxPivots int
+	// refactorFailed is set when the last refactorization found the basis
+	// singular; the cost rule stays quiet until one succeeds again, so a
+	// singular basis is not re-factorized on every pivot.
+	refactorFailed bool
+}
+
+// etaCostFactor is the refactorization trigger: the factor rebuilds
+// itself once its eta file holds more than this multiple of the nonzeros
+// in L, U and the diagonal. FTRAN and BTRAN cost is proportional to
+// factor plus eta nonzeros, so the rule caps the eta file's share of every
+// solve regardless of how dense the individual etas are. On the O-UMP
+// bases w = B⁻¹A_q is about two-thirds dense, so an eta holds hundreds of
+// nonzeros against a few thousand in the whole LU: a cap of 128 etas
+// would let the file grow to well over ten times the factor between
+// rebuilds. 2 measured best on the `small` O-UMP (3 was close).
+const etaCostFactor = 2
+
+// luData is one sparse LU factorization P·B·Q = L·U.
+type luData struct {
 	// L: unit lower triangular, stored by elimination column; row indices
 	// are original constraint rows (the row permutation lives in p/pinv).
 	lp []int32
@@ -32,42 +91,43 @@ type luFactor struct {
 	// elimination order -> basis position.
 	p, pinv []int32
 	q       []int32
+}
 
-	// Product-form eta file: eta t transforms B_t into B_{t+1} after the
-	// pivot (etaRow[t], pivot value etaPiv[t], off-pivot entries
-	// etaIdx/etaVal in [etaPtr[t], etaPtr[t+1])).
-	etaPtr []int32
-	etaRow []int32
-	etaPiv []float64
-	etaIdx []int32
-	etaVal []float64
+// reset sizes d for an m-row factorization with empty L and U, reusing
+// its capacity.
+func (d *luData) reset(m int) {
+	d.lp = resize(d.lp, m+1)
+	d.up = resize(d.up, m+1)
+	d.li, d.lx = d.li[:0], d.lx[:0]
+	d.ui, d.ux = d.ui[:0], d.ux[:0]
+	d.ud = resize(d.ud, m)
+	d.p = resize(d.p, m)
+	d.pinv = resize(d.pinv, m)
+	d.q = resize(d.q, m)
+}
 
-	// Scratch for solves and factorization.
-	work  []float64
-	work2 []float64
-	// DFS state for Gilbert–Peierls.
-	stack    []int32
-	stackL   []int32 // per-stack-frame position within the L column
-	pattern  []int32
-	visited  []int32
-	visitGen int32
-
-	maxEtas int
+// resize returns s with length n, zeroed, reallocating only when its
+// capacity is short.
+func resize[T int32 | float64](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 func newLUFactor(m int) *luFactor {
 	f := &luFactor{
-		m:       m,
-		work:    make([]float64, m),
-		work2:   make([]float64, m),
-		visited: make([]int32, m),
-		p:       make([]int32, m),
-		pinv:    make([]int32, m),
-		q:       make([]int32, m),
-		maxEtas: 64,
+		m:         m,
+		work:      make([]float64, m),
+		work2:     make([]float64, m),
+		work3:     make([]float64, m),
+		visited:   make([]int32, m),
+		maxPivots: 64,
 	}
 	if m > 512 {
-		f.maxEtas = 128
+		f.maxPivots = 128
 	}
 	return f
 }
@@ -76,16 +136,18 @@ func newLUFactor(m int) *luFactor {
 // empty L, diagonal U, identity permutations.
 func (f *luFactor) initDiag(diag []float64) {
 	m := f.m
-	f.lp = make([]int32, m+1)
-	f.li, f.lx = f.li[:0], f.lx[:0]
-	f.up = make([]int32, m+1)
-	f.ui, f.ux = f.ui[:0], f.ux[:0]
-	f.ud = append(f.ud[:0], diag...)
+	f.reset(m)
+	copy(f.ud, diag)
 	for k := 0; k < m; k++ {
 		f.p[k] = int32(k)
 		f.pinv[k] = int32(k)
 		f.q[k] = int32(k)
 	}
+	f.clearEtas()
+	f.pivots = 0
+}
+
+func (f *luFactor) clearEtas() {
 	f.etaPtr = f.etaPtr[:0]
 	f.etaRow = f.etaRow[:0]
 	f.etaPiv = f.etaPiv[:0]
@@ -98,10 +160,6 @@ func (f *luFactor) initDiag(diag []float64) {
 func (f *luFactor) refactor(basis []int, cols [][]nz) bool {
 	m := f.m
 	// Static Markowitz column order: ascending nonzero count, stable.
-	order := make([]int32, m)
-	for j := range order {
-		order[j] = int32(j)
-	}
 	// Counting sort by column length (lengths are small).
 	maxLen := 0
 	for _, j := range basis {
@@ -109,38 +167,32 @@ func (f *luFactor) refactor(basis []int, cols [][]nz) bool {
 			maxLen = l
 		}
 	}
-	buckets := make([]int32, maxLen+2)
+	buckets := resize(f.count, maxLen+2)
+	f.count = buckets
 	for pos := 0; pos < m; pos++ {
 		buckets[len(cols[basis[pos]])+1]++
 	}
 	for i := 1; i < len(buckets); i++ {
 		buckets[i] += buckets[i-1]
 	}
+	order := resize(f.order, m)
+	f.order = order
 	for pos := 0; pos < m; pos++ {
 		l := len(cols[basis[pos]])
 		order[buckets[l]] = int32(pos)
 		buckets[l]++
 	}
 
-	// Fresh factor state built aside; swapped in only on success.
-	lpN := make([]int32, m+1)
-	var liN []int32
-	var lxN []float64
-	upN := make([]int32, m+1)
-	var uiN []int32
-	var uxN []float64
-	udN := make([]float64, m)
-	pN := make([]int32, m)
-	pinvN := make([]int32, m)
-	qN := make([]int32, m)
-	for i := range pinvN {
-		pinvN[i] = -1
+	// Fresh factor state built in the spare buffers; swapped in only on
+	// success.
+	nw := &f.spare
+	nw.reset(m)
+	for i := range nw.pinv {
+		nw.pinv[i] = -1
 	}
 
 	x := f.work
-	for i := range x {
-		x[i] = 0
-	}
+	clear(x)
 
 	for k := 0; k < m; k++ {
 		j := order[k] // basis position being eliminated
@@ -149,9 +201,7 @@ func (f *luFactor) refactor(basis []int, cols [][]nz) bool {
 		// Symbolic: reachability DFS through the partial L.
 		f.pattern = f.pattern[:0]
 		if f.visitGen == math.MaxInt32 {
-			for i := range f.visited {
-				f.visited[i] = 0
-			}
+			clear(f.visited)
 			f.visitGen = 0
 		}
 		f.visitGen++
@@ -161,7 +211,7 @@ func (f *luFactor) refactor(basis []int, cols [][]nz) bool {
 			if f.visited[rr] == gen {
 				continue
 			}
-			f.dfs(rr, gen, pinvN, lpN, liN)
+			f.dfs(rr, gen, nw.pinv, nw.lp, nw.li)
 		}
 		// Numeric: scatter the column and eliminate in topological order
 		// (pattern is in reverse topological order from the DFS postorder,
@@ -171,7 +221,7 @@ func (f *luFactor) refactor(basis []int, cols [][]nz) bool {
 		}
 		for t := len(f.pattern) - 1; t >= 0; t-- {
 			rr := f.pattern[t]
-			pk := pinvN[rr]
+			pk := nw.pinv[rr]
 			if pk < 0 {
 				continue
 			}
@@ -179,8 +229,8 @@ func (f *luFactor) refactor(basis []int, cols [][]nz) bool {
 			if xt == 0 {
 				continue
 			}
-			for idx := lpN[pk]; idx < lpN[pk+1]; idx++ {
-				x[liN[idx]] -= lxN[idx] * xt
+			for idx := nw.lp[pk]; idx < nw.lp[pk+1]; idx++ {
+				x[nw.li[idx]] -= nw.lx[idx] * xt
 			}
 		}
 
@@ -190,7 +240,7 @@ func (f *luFactor) refactor(basis []int, cols [][]nz) bool {
 		pivRow := int32(-1)
 		pivAbs := 0.0
 		for _, rr := range f.pattern {
-			if pinvN[rr] >= 0 {
+			if nw.pinv[rr] >= 0 {
 				continue
 			}
 			a := math.Abs(x[rr])
@@ -203,42 +253,39 @@ func (f *luFactor) refactor(basis []int, cols [][]nz) bool {
 			for _, rr := range f.pattern {
 				x[rr] = 0
 			}
+			f.refactorFailed = true
 			return false
 		}
 
 		// Emit U column k (entries at already-pivoted rows) and L column k
 		// (entries at the remaining rows, scaled by the pivot).
 		piv := x[pivRow]
-		udN[k] = piv
+		nw.ud[k] = piv
 		for _, rr := range f.pattern {
 			v := x[rr]
 			x[rr] = 0
 			if v == 0 || rr == pivRow {
 				continue
 			}
-			if pk := pinvN[rr]; pk >= 0 {
-				uiN = append(uiN, pk)
-				uxN = append(uxN, v)
+			if pk := nw.pinv[rr]; pk >= 0 {
+				nw.ui = append(nw.ui, pk)
+				nw.ux = append(nw.ux, v)
 			} else {
-				liN = append(liN, rr)
-				lxN = append(lxN, v/piv)
+				nw.li = append(nw.li, rr)
+				nw.lx = append(nw.lx, v/piv)
 			}
 		}
-		upN[k+1] = int32(len(uiN))
-		lpN[k+1] = int32(len(liN))
-		pN[k] = pivRow
-		pinvN[pivRow] = int32(k)
-		qN[k] = j
+		nw.up[k+1] = int32(len(nw.ui))
+		nw.lp[k+1] = int32(len(nw.li))
+		nw.p[k] = pivRow
+		nw.pinv[pivRow] = int32(k)
+		nw.q[k] = j
 	}
 
-	f.lp, f.li, f.lx = lpN, liN, lxN
-	f.up, f.ui, f.ux, f.ud = upN, uiN, uxN, udN
-	f.p, f.pinv, f.q = pN, pinvN, qN
-	f.etaPtr = f.etaPtr[:0]
-	f.etaRow = f.etaRow[:0]
-	f.etaPiv = f.etaPiv[:0]
-	f.etaIdx = f.etaIdx[:0]
-	f.etaVal = f.etaVal[:0]
+	f.luData, f.spare = f.spare, f.luData
+	f.clearEtas()
+	f.pivots = 0
+	f.refactorFailed = false
 	return true
 }
 
@@ -352,13 +399,11 @@ func (f *luFactor) ftranCol(col []nz, w []float64) {
 }
 
 func (f *luFactor) ftran(x []float64) {
-	out := make([]float64, f.m)
+	out := f.work3
 	in := f.work
 	copy(in, x)
 	f.baseFtran(in, out)
-	for i := range in {
-		in[i] = 0
-	}
+	clear(in)
 	f.applyEtas(out)
 	copy(x, out)
 }
@@ -407,15 +452,17 @@ func (f *luFactor) pivotRow(r int, rho []float64) {
 	f.btran(rho)
 }
 
-// willAccept refuses a pivot when the eta file is full or the pivot is too
-// small relative to the transformed column — except on a freshly
-// refactorized basis, where the numbers are as clean as they will get and
-// refusing again could live-lock the caller's refactorize-and-retry loop.
+// willAccept refuses a pivot once maxPivots pivots have passed since the
+// last refactor, or when the pivot is too small relative to the
+// transformed column — except on a freshly refactorized basis, where the
+// numbers are as clean as they will get and refusing again could live-lock
+// the caller's refactorize-and-retry loop. A cost rebuild does not count
+// as fresh: both tests see the pivots it folded in.
 func (f *luFactor) willAccept(r int, w []float64) bool {
-	if len(f.etaRow) >= f.maxEtas {
+	if f.pivots >= f.maxPivots {
 		return false
 	}
-	if len(f.etaRow) == 0 {
+	if f.pivots == 0 {
 		return true
 	}
 	piv := w[r]
@@ -445,6 +492,27 @@ func (f *luFactor) update(r int, w []float64) {
 	f.etaPtr = append(f.etaPtr, int32(len(f.etaIdx)))
 	f.etaRow = append(f.etaRow, int32(r))
 	f.etaPiv = append(f.etaPiv, piv)
+	f.pivots++
 }
 
 func (f *luFactor) updates() int { return len(f.etaRow) }
+
+// etaNonzeros counts the eta file's stored entries, pivots included.
+func (f *luFactor) etaNonzeros() int { return len(f.etaIdx) + len(f.etaRow) }
+
+// etaBound is the eta file size, in nonzeros, past which rebuild
+// refactorizes: etaCostFactor times the nonzeros of L, U and the diagonal.
+func (f *luFactor) etaBound() int { return etaCostFactor * (len(f.li) + len(f.ui) + f.m) }
+
+// rebuild applies the etaCostFactor rule, keeping the pivot count.
+func (f *luFactor) rebuild(basis []int, cols [][]nz) bool {
+	if f.refactorFailed || f.etaNonzeros() <= f.etaBound() {
+		return false
+	}
+	pivots := f.pivots
+	if !f.refactor(basis, cols) {
+		return false
+	}
+	f.pivots = pivots
+	return true
+}

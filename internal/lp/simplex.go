@@ -20,11 +20,12 @@ const (
 // each pivot updates d and the Devex reference weights in one O(nnz) pass
 // over the pivot row, and full dual recomputation happens only on periodic
 // refreshes. The basis inverse lives behind the basisFactor interface: the
-// default sparse LU engine pays O(nnz of the factors) per FTRAN/BTRAN and
-// appends a product-form eta per pivot, with periodic and
-// stability-triggered refactorization; the legacy dense engine keeps the
-// explicit m×m inverse (O(m²) per pivot) for differential testing and the
-// BENCH_pr3 dense-vs-sparse comparison.
+// default sparse LU engine pays O(nnz of the factors and etas) per
+// FTRAN/BTRAN and appends a product-form eta per pivot, refactorizing when
+// the eta file outweighs the factors, when a pivot is unstable, and
+// periodically; the legacy dense engine keeps the explicit m×m inverse
+// (O(m²) per pivot) for differential testing and the BENCH_pr3
+// dense-vs-sparse comparison.
 type solver struct {
 	m, n    int // rows, total columns (structural + slack + artificial)
 	nStruct int // structural column count
@@ -65,6 +66,7 @@ type solver struct {
 	refactEvery int
 	refactors   int // factorizations performed, including the initial one
 	etaPeak     int // peak eta-file length observed between refactorizations
+	etaNnzPeak  int // peak eta-file nonzeros observed between refactorizations
 	maximize    bool
 	warmOK      bool // a warm basis was installed; phase 1 is skipped
 }
@@ -676,6 +678,20 @@ func (s *solver) iterate() Status {
 		if ref := math.Max(wq/aq2, 1); ref > s.devex[leaving] {
 			s.devex[leaving] = ref
 		}
+
+		// Cost-triggered rebuild. The pivot is complete and the maintained
+		// reduced costs and Devex weights describe the new basis as well as
+		// before, so only the representation is rebuilt: no dual refresh,
+		// no Devex reset, and the periodic schedules run on undisturbed.
+		// The factor's pivot acceptance ignores rebuilds too, so the rules
+		// that choose pivots are unchanged. Their inputs round differently
+		// through fresh factors, which can break an exact pricing tie the
+		// other way and so move a plan (DESIGN.md §7, ump.PlanFormat).
+		s.sampleEta()
+		if s.factor.rebuild(s.basis, s.cols) {
+			s.refactors++
+			s.recomputeXB()
+		}
 	}
 }
 
@@ -695,21 +711,22 @@ func (s *solver) refactorize() {
 	}
 }
 
-// sampleEta records the current eta-file length into the running peak.
-// Called just before each refactorization (which resets the file) and once
-// at the end of the solve.
+// sampleEta records the current eta-file length and nonzeros into the
+// running peaks. Called after every pivot, just before each
+// refactorization (which resets the file) and once at the end of the
+// solve.
 func (s *solver) sampleEta() {
 	if s.factor == nil {
 		return
 	}
-	if u := s.factor.updates(); u > s.etaPeak {
-		s.etaPeak = u
-	}
+	s.etaPeak = max(s.etaPeak, s.factor.updates())
+	s.etaNnzPeak = max(s.etaNnzPeak, s.factor.etaNonzeros())
 }
 
-// recomputeXB sets xB = B^{-1}(b - N x_N) from scratch.
+// recomputeXB sets xB = B^{-1}(b - N x_N) from scratch, in place.
 func (s *solver) recomputeXB() {
-	r := append([]float64(nil), s.b...)
+	r := s.xB
+	copy(r, s.b)
 	for j := 0; j < s.n; j++ {
 		if s.status[j] == basic {
 			continue
@@ -723,7 +740,6 @@ func (s *solver) recomputeXB() {
 		}
 	}
 	s.factor.ftran(r)
-	copy(s.xB, r)
 }
 
 // snapshotBasis records the final basis in problem space: a status per

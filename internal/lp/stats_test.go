@@ -118,3 +118,112 @@ func TestSolveStatsNoPresolve(t *testing.T) {
 		t.Errorf("refactorizations = %d", sol.Stats.Refactorizations)
 	}
 }
+
+// etaBoundCheck wraps a basis factor and checks the refactorization rule on
+// every update: before an eta is appended the file must be within the cost
+// bound (the solver rebuilds right after any pivot that crosses it), so its
+// peak is at most the bound plus one eta.
+type etaBoundCheck struct {
+	basisFactor
+	t          *testing.T
+	peak       int // largest eta nonzero count seen after an update
+	costRefacs int // refactorizations made by the cost rule
+}
+
+func (c *etaBoundCheck) update(r int, w []float64) {
+	if lu, ok := c.basisFactor.(*luFactor); ok && lu.etaNonzeros() > lu.etaBound() {
+		c.t.Fatalf("eta file holds %d nonzeros before an update, over the cost bound %d", lu.etaNonzeros(), lu.etaBound())
+	}
+	c.basisFactor.update(r, w)
+	c.peak = max(c.peak, c.etaNonzeros())
+}
+
+func (c *etaBoundCheck) rebuild(basis []int, cols [][]nz) bool {
+	if !c.basisFactor.rebuild(basis, cols) {
+		return false
+	}
+	c.costRefacs++
+	return true
+}
+
+// etaProblem is large enough that the sparse engine's eta file outgrows
+// its factors several times in one solve.
+func etaProblem(seed uint64) *Problem {
+	rng := rand.New(rand.NewPCG(seed, seed^0xbeef))
+	p := NewProblem(Maximize)
+	const n, m = 300, 200
+	for j := 0; j < n; j++ {
+		p.AddVariable(1+rng.Float64(), 0, 10)
+	}
+	for i := 0; i < m; i++ {
+		r := p.AddConstraint(LE, 5+10*rng.Float64())
+		for k := 0; k < 8; k++ {
+			p.SetCoef(r, rng.IntN(n), 0.1+rng.Float64())
+		}
+	}
+	return p
+}
+
+func TestEtaNonzerosBound(t *testing.T) {
+	for _, eng := range []Engine{EngineSparseLU, EngineDense} {
+		sol, err := Solve(etaProblem(5), Options{Engine: eng, NoPresolve: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.Status != Optimal {
+			t.Fatalf("engine %v: status %v", eng, sol.Status)
+		}
+
+		// The same solve, step by step, with the factor under watch.
+		s := newSolver(etaProblem(5), Options{Engine: eng})
+		s.coldStart(eng)
+		check := &etaBoundCheck{basisFactor: s.factor, t: t}
+		s.factor = check
+		again, err := s.solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.sampleEta()
+		if again.Iterations != sol.Iterations || s.etaNnzPeak != sol.Stats.EtaNonzeros {
+			t.Fatalf("engine %v: watched solve diverged: %d iterations, eta peak %d; want %d, %d",
+				eng, again.Iterations, s.etaNnzPeak, sol.Iterations, sol.Stats.EtaNonzeros)
+		}
+		if sol.Stats.EtaNonzeros != check.peak {
+			t.Errorf("engine %v: reported eta peak %d, observed %d", eng, sol.Stats.EtaNonzeros, check.peak)
+		}
+		switch eng {
+		case EngineSparseLU:
+			if check.costRefacs == 0 {
+				t.Errorf("sparse LU: the cost rule never fired in %d iterations", sol.Iterations)
+			}
+			if sol.Stats.EtaNonzeros < sol.Stats.EtaLength {
+				t.Errorf("sparse LU: eta peak %d nonzeros below its %d etas", sol.Stats.EtaNonzeros, sol.Stats.EtaLength)
+			}
+		case EngineDense:
+			if sol.Stats.EtaNonzeros != 0 || check.costRefacs != 0 {
+				t.Errorf("dense: eta nonzeros %d, cost refactorizations %d; it keeps no eta file",
+					sol.Stats.EtaNonzeros, check.costRefacs)
+			}
+		}
+	}
+}
+
+// TestRefactorizeAllocs pins the refactorization path at zero allocations
+// once warm: the cost rule refactorizes dozens of times per solve, so the
+// LU rebuild (built into the spare buffers and swapped in), the xB
+// recomputation and its FTRAN must all reuse memory the solver holds.
+func TestRefactorizeAllocs(t *testing.T) {
+	s := newSolver(etaProblem(5), Options{})
+	s.coldStart(EngineSparseLU)
+	if _, err := s.solve(); err != nil {
+		t.Fatal(err)
+	}
+	s.refactorize() // both LU buffers now hold this basis's factorization
+	before := s.refactors
+	if allocs := testing.AllocsPerRun(20, s.refactorize); allocs != 0 {
+		t.Errorf("warm refactorize allocates %.1f times per call, want 0", allocs)
+	}
+	if s.refactors == before {
+		t.Fatal("refactorize did not refactorize")
+	}
+}

@@ -2,15 +2,20 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"dpslog"
+	"dpslog/internal/ump"
 )
 
 // do issues a request with an arbitrary method against the test server.
@@ -284,6 +289,83 @@ func TestCorpusJournalReplayAcrossRestart(t *testing.T) {
 	}
 	if got := decode[corpusSanitizeResponse](t, raw); got.Release != want[0].Release {
 		t.Fatalf("post-restart replay release %+v, want %+v", got.Release, want[0].Release)
+	}
+}
+
+// TestCorpusPlanFormatUpgradeCharges: a UMP release journaled under an
+// older plan format may not reproduce its bytes on this build, so the same
+// request after an upgrade is a new release, charged, not a free replay.
+// Aggregate mechanisms do not solve LPs; their keys carry no format.
+func TestCorpusPlanFormatUpgradeCharges(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{DataDir: dir, Budget: budgetFor(3)}
+	e := newTestEnv(t, cfg)
+	if resp, raw := e.do(t, http.MethodPut, "/v1/corpora/c", "text/tab-separated-values", e.tsv); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("PUT: %d %s", resp.StatusCode, raw)
+	}
+	resp, raw := e.post(t, "/v1/corpora/c/sanitize", "application/json", sanitizeBody(1))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sanitize: %d %s", resp.StatusCode, raw)
+	}
+	first := decode[corpusSanitizeResponse](t, raw)
+	e.ts.Close()
+	e.srv.Close()
+
+	// Rewrite the journal as a build before the format tag would have
+	// written it.
+	path := filepath.Join(dir, "ledger.journal")
+	journal, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tag := fmt.Sprintf("\x00plan-format=%d", ump.PlanFormat)
+	var legacy []byte
+	for line := range bytes.Lines(journal) {
+		var rel map[string]any
+		if err := json.Unmarshal(line, &rel); err != nil {
+			t.Fatal(err)
+		}
+		key, _ := rel["key"].(string)
+		if !strings.HasSuffix(key, tag) {
+			t.Fatalf("journaled UMP key %q carries no plan format", key)
+		}
+		rel["key"] = strings.TrimSuffix(key, tag)
+		out, err := json.Marshal(rel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		legacy = append(append(legacy, out...), '\n')
+	}
+	if err := os.WriteFile(path, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	re := newTestEnv(t, cfg)
+	resp, raw = re.post(t, "/v1/corpora/c/sanitize", "application/json", sanitizeBody(1))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sanitize after upgrade: %d %s", resp.StatusCode, raw)
+	}
+	again := decode[corpusSanitizeResponse](t, raw)
+	if again.Release.Seq != first.Release.Seq+1 || again.Budget.Releases != 2 {
+		t.Fatalf("format 1 release replayed on format %d: %+v, %d releases",
+			ump.PlanFormat, again.Release, again.Budget.Releases)
+	}
+
+	// Aggregate mechanism keys are untouched.
+	resp, raw = re.post(t, "/v1/corpora/c/sanitize", "application/json",
+		fmt.Appendf(nil, `{"options":{"mechanism":"zealous","epsilon":%g,"delta":0.25,"seed":1}}`, math.Log(2)))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("zealous sanitize: %d %s", resp.StatusCode, raw)
+	}
+	_, raw = re.get(t, "/v1/corpora/c/releases")
+	var rels struct {
+		Releases []dpslog.Release `json:"releases"`
+	}
+	if err := json.Unmarshal(raw, &rels); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(rels.Releases); n != 3 || strings.Contains(rels.Releases[n-1].Key, "plan-format") {
+		t.Fatalf("releases %+v", rels.Releases)
 	}
 }
 

@@ -100,6 +100,7 @@ import (
 	"dpslog/internal/ledger"
 	"dpslog/internal/mechanism"
 	"dpslog/internal/obs"
+	"dpslog/internal/ump"
 )
 
 // Config sizes the server. Zero values select the documented defaults.
@@ -699,13 +700,21 @@ func seedFromDigest(digest string) uint64 {
 	return binary.BigEndian.Uint64(b[:8])
 }
 
-// cacheKey is the plan cache identity: corpus digest ⊕ canonical options.
+// cacheKey is the plan cache identity and the ledger's release identity:
+// corpus digest ⊕ canonical options, and for UMP ⊕ the plan format. A
+// format 1 key carries no format tag, so keys journaled before the tag
+// existed are format 1 keys and no longer match a UMP request.
 func cacheKey(digest string, opts dpslog.Options) string {
-	canon, err := json.Marshal(opts.Canonical())
+	canon := opts.Canonical()
+	js, err := json.Marshal(canon)
 	if err != nil {
 		return digest // unreachable: Options marshals cleanly
 	}
-	return digest + "\x00" + string(canon)
+	key := digest + "\x00" + string(js)
+	if canon.Mechanism == "" {
+		key += fmt.Sprintf("\x00plan-format=%d", ump.PlanFormat)
+	}
+	return key
 }
 
 // --- Sanitization core ---------------------------------------------------

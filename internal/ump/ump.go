@@ -167,6 +167,19 @@ func (o Options) ctx() context.Context {
 	return o.Ctx
 }
 
+// PlanFormat versions the plans this package returns for a given input
+// and options. The UMP LPs have alternate optima, and the simplex breaks
+// exact ties in pricing on floating-point rounding, so a change to the
+// solver's arithmetic can move a plan (and the released bytes) while λ and
+// every objective value stay equal. Such a change bumps PlanFormat; the
+// server folds it into the release identity, so a release journaled under
+// an older format is charged as a new release rather than replayed, free,
+// with different bytes.
+//
+// Format 1 is the original solver; format 2 rebuilds the sparse LU on eta
+// cost (see DESIGN.md §7).
+const PlanFormat = 2
+
 // Plan is an integral, strictly feasible assignment of output counts.
 type Plan struct {
 	// Kind records the producing problem.
@@ -209,6 +222,9 @@ type SolveStats struct {
 	PresolveCols int
 	// EtaLength is the largest peak eta-file length any LP observed.
 	EtaLength int
+	// EtaNonzeros is the largest peak eta-file nonzero count any LP
+	// observed.
+	EtaNonzeros int
 	// WarmHits counts LPs that installed a warm-start basis; WarmMisses
 	// counts LPs that cold-started (no basis pooled yet, or the snapshot
 	// failed validation). WarmHits + WarmMisses = LPSolves.
@@ -216,15 +232,15 @@ type SolveStats struct {
 	WarmMisses int
 }
 
-// add accumulates o into s (sums, except the EtaLength maximum).
+// add accumulates o into s (sums, except the EtaLength and EtaNonzeros
+// maxima).
 func (s *SolveStats) add(o SolveStats) {
 	s.LPSolves += o.LPSolves
 	s.Refactorizations += o.Refactorizations
 	s.PresolveRows += o.PresolveRows
 	s.PresolveCols += o.PresolveCols
-	if o.EtaLength > s.EtaLength {
-		s.EtaLength = o.EtaLength
-	}
+	s.EtaLength = max(s.EtaLength, o.EtaLength)
+	s.EtaNonzeros = max(s.EtaNonzeros, o.EtaNonzeros)
 	s.WarmHits += o.WarmHits
 	s.WarmMisses += o.WarmMisses
 }
@@ -237,6 +253,7 @@ func lpStats(sol *lp.Solution) SolveStats {
 		PresolveRows:     sol.Stats.PresolveRows,
 		PresolveCols:     sol.Stats.PresolveCols,
 		EtaLength:        sol.Stats.EtaLength,
+		EtaNonzeros:      sol.Stats.EtaNonzeros,
 	}
 	if sol.Stats.WarmAccepted {
 		st.WarmHits = 1
@@ -260,6 +277,7 @@ func (o Options) solveLP(kind string, prob *lp.Problem) (*lp.Solution, error) {
 			sp.SetAttr("iterations", sol.Iterations)
 			sp.SetAttr("refactorizations", sol.Stats.Refactorizations)
 			sp.SetAttr("eta_len", sol.Stats.EtaLength)
+			sp.SetAttr("eta_nnz", sol.Stats.EtaNonzeros)
 			sp.SetAttr("presolve_rows", sol.Stats.PresolveRows)
 			sp.SetAttr("presolve_cols", sol.Stats.PresolveCols)
 			sp.SetAttr("warm_attempted", sol.Stats.WarmAttempted)
