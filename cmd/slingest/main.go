@@ -20,9 +20,10 @@
 // becomes a multi-hundred-MB corpus).
 //
 // Sink: -url/-corpus PUTs the stream to /v1/corpora/{name} (chunked
-// transfer, ?format= passed through, so the server's sharded ingest does
-// the folding); -o writes the raw rows to a file or stdout; -stats folds
-// locally and prints the digest, shape and ingest statistics as JSON.
+// transfer, the format declared by Content-Type, so the server's sharded
+// ingest does the folding); -o writes the raw rows to a file or stdout;
+// -stats folds locally and prints the digest, shape and ingest statistics
+// as JSON.
 //
 // On exit slingest reports rows, bytes, wall time, throughput and the
 // process's peak RSS (VmHWM) — the number the bounded-memory claim is
@@ -116,9 +117,11 @@ func main() {
 			fatal(err)
 		}
 		defer src.Close()
-		if err := push(*url, *corpusName, f, src, srcLength(*file)); err != nil {
+		body, err := push(*url, *corpusName, f, src, srcLength(*file))
+		if err != nil {
 			fatal(err)
 		}
+		os.Stdout.Write(body)
 	default:
 		w, closeW, err := openSink(*out)
 		if err != nil {
@@ -216,36 +219,38 @@ func writeBlocks(w *bufio.Writer, p gen.Profile, seed uint64, minBytes int64, f 
 	}
 }
 
-// push streams the source into PUT /v1/corpora/{name}. length < 0 sends
-// chunked transfer encoding (the generated-source case); the server's
-// admission gate then books a default reservation for it.
-func push(base, name string, f ingest.Format, src io.Reader, length int64) error {
+// push streams the source into PUT /v1/corpora/{name} and returns the
+// server's corpus metadata response. The row format travels as the
+// Content-Type. length < 0 sends chunked transfer encoding (the
+// generated-source case); the server's admission gate then books a default
+// reservation for it.
+func push(base, name string, f ingest.Format, src io.Reader, length int64) ([]byte, error) {
 	u := strings.TrimSuffix(base, "/") + "/v1/corpora/" + name
-	if f == ingest.FormatAOL {
-		u += "?format=aol"
-	}
 	req, err := http.NewRequest(http.MethodPut, u, io.NopCloser(src))
 	if err != nil {
-		return err
+		return nil, err
 	}
-	req.Header.Set("Content-Type", "text/tab-separated-values")
+	ct := "text/tab-separated-values"
+	if f == ingest.FormatAOL {
+		ct = "application/x-aol-log"
+	}
+	req.Header.Set("Content-Type", ct)
 	if length > 0 {
 		req.ContentLength = length
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if resp.StatusCode != http.StatusCreated && resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("PUT %s: %s: %s", u, resp.Status, strings.TrimSpace(string(body)))
+		return nil, fmt.Errorf("PUT %s: %s: %s", u, resp.Status, strings.TrimSpace(string(body)))
 	}
-	os.Stdout.Write(body)
-	return nil
+	return body, nil
 }
 
 // srcLength is the Content-Length to declare: the file size when the

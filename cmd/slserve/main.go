@@ -10,13 +10,14 @@
 //	        [-data-dir DIR] [-budget-eexp X | -budget-epsilon X]
 //	        [-budget-delta X] [-mechanisms LIST] [-ingest-shards N]
 //	        [-ingest-chunk BYTES] [-max-ingest-bytes BYTES]
-//	        [-max-corpus-bytes BYTES] [-comp-cache N] [-legacy-errors]
-//	        [-trace-buffer N] [-quiet]
+//	        [-max-corpus-bytes BYTES] [-comp-cache N] [-trace-buffer N]
+//	        [-quiet]
 //
 // The sanitize endpoints dispatch on ?mechanism= (or the JSON "mechanism"
 // option): ump (the paper's pipeline, default), laplace, zealous, localdp.
-// -mechanisms restricts which of them this deployment will run (comma-
-// separated wire names; empty allows all).
+// Every mechanism runs through the same release path, the plan cache and
+// the ledger included. -mechanisms restricts which of them this deployment
+// will run (comma-separated wire names; empty allows all).
 //
 // Observability: every API request runs under a trace whose ID is echoed in
 // the X-Trace-Id response header and logged as one structured JSON line on
@@ -38,8 +39,8 @@
 // touched.
 //
 // Every non-2xx response carries the structured error envelope {"error",
-// "code", "status", "detail"?}; -legacy-errors reverts to the historical
-// {"error"}-only body for one release while clients migrate.
+// "code", "status", "detail"?}. Raw corpus bodies select their format by
+// Content-Type (text/tab-separated-values or application/x-aol-log).
 //
 // Corpus uploads stream through the sharded ingest fold (see
 // internal/ingest): the body is never slurped, memory is bounded by the
@@ -95,7 +96,6 @@ func main() {
 	maxIngest := flag.Int64("max-ingest-bytes", 0, "declared bytes of concurrent corpus uploads admitted at once (0 = 256 MiB, negative = unguarded)")
 	maxCorpus := flag.Int64("max-corpus-bytes", 0, "per-upload corpus body cap in bytes (0 = 8 GiB, negative = uncapped)")
 	compCache := flag.Int("comp-cache", 0, "component-plan cache entries for incremental post-append re-solves (0 = 4096, negative disables)")
-	legacyErrors := flag.Bool("legacy-errors", false, "serve pre-envelope {\"error\"} bodies without code/status/detail (one-release migration aid)")
 	flag.Parse()
 
 	budget := dpslog.Budget{Epsilon: *budgetEps, Delta: *budgetDelta}
@@ -134,7 +134,6 @@ func main() {
 		MaxIngestBytes:   *maxIngest,
 		MaxCorpusBytes:   *maxCorpus,
 		CompCacheSize:    *compCache,
-		LegacyErrors:     *legacyErrors,
 		TraceBuffer:      *traceBuffer,
 		Logger:           logger,
 	})

@@ -163,14 +163,11 @@ type Options struct {
 	// see DESIGN.md §2).
 	NoBoxConstraint bool `json:"no_box_constraint,omitzero"`
 
-	// Warm attaches a warm-start cache to the UMP solves. It is runtime
-	// state, not configuration: never serialized, cleared by Canonical, and
-	// ignored by the aggregate mechanisms.
-	Warm *WarmCache `json:"-"`
 	// Comp attaches a component-plan cache to the UMP solves, making
 	// re-solves after corpus appends incremental (only changed connected
-	// components re-solve; see CompCache). Runtime state like Warm: never
-	// serialized, cleared by Canonical, ignored by aggregate mechanisms.
+	// components re-solve; see CompCache). It is runtime state, not
+	// configuration: never serialized, cleared by Canonical, and ignored by
+	// the aggregate mechanisms.
 	Comp *CompCache `json:"-"`
 }
 
@@ -248,7 +245,6 @@ func umpCanonical(o Options) Options {
 	// identical corpora solved at different parallelism levels share one
 	// cache entry.
 	o.Parallelism = 0
-	o.Warm = nil
 	o.Comp = nil
 	return o
 }

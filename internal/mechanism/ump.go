@@ -69,38 +69,16 @@ type Result struct {
 	Plan Plan
 }
 
-// WarmCache shares simplex basis snapshots across repeated solves of the
-// same corpus (PR 3): a server re-solving after a plan-cache eviction, or
-// a sweep over privacy budgets, warm-starts each LP from the previous
-// optimal basis instead of re-deriving it from scratch. Snapshots are
-// validated before use — a stale or mismatched basis falls back to a cold
-// start — so warm starts never compromise feasibility or optimality.
-// Callers that need bit-reproducible releases must scope a cache to one
-// (corpus, configuration) pair, as internal/server does: re-solving the
-// *same* problem from its own optimal basis reproduces that basis, while
-// seeding from a different budget's basis may legitimately select a
-// different optimal vertex when the LP has alternate optima.
-type WarmCache struct {
-	pool *ump.WarmStarts
-}
-
-// NewWarmCache creates an empty warm-start cache with rolling (latest
-// basis wins) semantics, the right default for sequential re-solves.
-func NewWarmCache() *WarmCache {
-	return &WarmCache{pool: ump.NewWarmStarts(false)}
-}
-
 // CompCache caches solved per-component plans keyed by component content
 // digest (PR 10): when an append-only corpus gains a version, a re-solve
 // pays only for the connected components the appended rows changed — every
 // untouched component hashes to the same digest as in the parent version
-// and its cached λ/counts are reused byte-identically. Unlike WarmCache,
-// reuse is exact by construction (the digest pins the constraint system,
-// and the key pins ε, δ, solver and ablation flags), so a CompCache may be
-// shared across versions — or corpora — without any reproducibility
-// caveat. Only per-component-independent solves consult it (O-UMP, D-UMP,
-// and the O-UMP λ phases of F-UMP/C-UMP); globally coupled phases always
-// re-solve.
+// and its cached λ/counts are reused byte-identically. Reuse is exact by
+// construction (the digest pins the constraint system, and the key pins ε,
+// δ, solver and ablation flags), so a CompCache may be shared across
+// versions — or corpora — without any reproducibility caveat. Only
+// per-component-independent solves consult it (O-UMP, D-UMP, and the O-UMP
+// λ phases of F-UMP/C-UMP); globally coupled phases always re-solve.
 type CompCache struct {
 	cache *ump.ComponentCache
 }
@@ -144,9 +122,6 @@ func RunUMP(ctx context.Context, in *searchlog.Log, opts Options) (*Result, erro
 	psp.End()
 	params := dp.Params{Eps: opts.Epsilon, Delta: opts.Delta}
 	uopts := ump.Options{NoBoxConstraint: opts.NoBoxConstraint, Solver: opts.Solver, Parallelism: opts.Parallelism}
-	if opts.Warm != nil {
-		uopts.Warm = opts.Warm.pool
-	}
 	if opts.Comp != nil {
 		uopts.Comp = opts.Comp.cache
 	}

@@ -3,8 +3,6 @@ package server
 import (
 	"container/list"
 	"sync"
-
-	"dpslog"
 )
 
 // planCache is a thread-safe LRU cache over completed sanitization
@@ -83,63 +81,4 @@ func (c *planCache) Stats() (hits, misses int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses
-}
-
-// warmPools keeps one simplex warm-start cache per plan-cache key — one
-// (corpus digest, canonical options) pair — LRU-bounded. A plan-cache miss
-// on a problem the server has solved before (an evicted entry) re-solves
-// from that problem's own previous optimal basis, which the warm-started
-// simplex re-proves optimal immediately: the re-solve reproduces the prior
-// release. Pools are deliberately NOT shared across different options for
-// the same corpus — with alternate optima, another budget's basis could
-// steer the solve to a different optimal vertex and make identical requests
-// history-dependent. The LP layer validates every basis and cold-starts on
-// any mismatch, so the pools are purely a latency optimization.
-type warmPools struct {
-	mu    sync.Mutex
-	cap   int
-	ll    *list.List
-	items map[string]*list.Element
-}
-
-type warmEntry struct {
-	key   string
-	cache *dpslog.WarmCache
-}
-
-func newWarmPools(capacity int) *warmPools {
-	return &warmPools{
-		cap:   capacity,
-		ll:    list.New(),
-		items: make(map[string]*list.Element),
-	}
-}
-
-// get returns the warm cache for one plan-cache key, creating (and
-// LRU-evicting) as needed.
-func (w *warmPools) get(key string) *dpslog.WarmCache {
-	if w.cap < 1 {
-		return nil
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if el, ok := w.items[key]; ok {
-		w.ll.MoveToFront(el)
-		return el.Value.(*warmEntry).cache
-	}
-	wc := dpslog.NewWarmCache()
-	w.items[key] = w.ll.PushFront(&warmEntry{key: key, cache: wc})
-	for w.ll.Len() > w.cap {
-		oldest := w.ll.Back()
-		w.ll.Remove(oldest)
-		delete(w.items, oldest.Value.(*warmEntry).key)
-	}
-	return wc
-}
-
-// Len returns the number of solved problems with live warm caches.
-func (w *warmPools) Len() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.ll.Len()
 }

@@ -132,17 +132,14 @@ func (s *Server) writeOverBudget(w http.ResponseWriter, name string, over *dpslo
 //	                           application/octet-stream, or no Content-Type)
 //	application/x-aol-log      the historical AOL 5-column form
 //
-// The legacy ?format= query parameter is still honored — it wins over the
-// header — but is deprecated in favor of Content-Type and announced as such
-// with a Deprecation response header; it will be removed one release after
-// this one. Unrecognized content types fall back to TSV rather than 415,
-// preserving the historical any-body-is-TSV behavior for curl-style
-// clients that never set a type.
-func (s *Server) uploadFormat(w http.ResponseWriter, r *http.Request) (ingest.Format, error) {
-	if v := r.URL.Query().Get("format"); v != "" {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Add("Warning", `299 - "the format query parameter is deprecated; set Content-Type instead"`)
-		return ingest.ParseFormat(v)
+// Unrecognized content types fall back to TSV rather than 415, preserving
+// the historical any-body-is-TSV behavior for curl-style clients that never
+// set a type. A format query parameter is an error rather than ignored, so
+// a client still selecting the format that way is not silently ingested
+// as TSV.
+func uploadFormat(r *http.Request) (ingest.Format, error) {
+	if r.URL.Query().Has("format") {
+		return 0, errors.New("the format query parameter is not supported; select the body format with Content-Type: text/tab-separated-values or application/x-aol-log")
 	}
 	ct, _, _ := strings.Cut(r.Header.Get("Content-Type"), ";")
 	if strings.TrimSpace(strings.ToLower(ct)) == "application/x-aol-log" {
@@ -158,7 +155,11 @@ func (s *Server) uploadFormat(w http.ResponseWriter, r *http.Request) (ingest.Fo
 // the admission gate (managed by the caller) shedding uploads that would
 // overcommit it. On failure the response has been written and ok is false.
 func (s *Server) decodeCorpusUpload(w http.ResponseWriter, r *http.Request) (l *dpslog.Log, ok bool) {
-	var err error
+	format, err := uploadFormat(r)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, "%v", err)
+		return nil, false
+	}
 	if isJSONRequest(r) {
 		var req statsRequest // same {records, tsv} envelope as /v1/stats
 		if err := decodeJSON(r, &req); err != nil {
@@ -167,11 +168,6 @@ func (s *Server) decodeCorpusUpload(w http.ResponseWriter, r *http.Request) (l *
 		}
 		l, err = buildLog(req.Records, req.TSV)
 	} else {
-		format, ferr := s.uploadFormat(w, r)
-		if ferr != nil {
-			s.writeError(w, http.StatusBadRequest, "%v", ferr)
-			return nil, false
-		}
 		var st ingest.Stats
 		_, isp := obs.Start(r.Context(), "ingest")
 		l, st, err = ingest.Ingest(r.Body, ingest.Config{

@@ -2,8 +2,7 @@ package server
 
 // The error-envelope contract (PR 10): every handler's error path — across
 // the stateless and stateful API surface — must answer with the uniform
-// {error, code, status, detail?} envelope, and the LegacyErrors flag must
-// trim it back to the historical {error}-only body.
+// {error, code, status, detail?} envelope.
 
 import (
 	"encoding/json"
@@ -104,30 +103,5 @@ func TestErrorEnvelopeSweep(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestLegacyErrorsFlag pins the migration fallback: with LegacyErrors set,
-// non-2xx bodies regress to the pre-envelope {"error": ...} shape with no
-// code, status, or detail keys at all.
-func TestLegacyErrorsFlag(t *testing.T) {
-	e := seedEnvelopeEnv(t, Config{LegacyErrors: true})
-	for _, tc := range envelopeCases {
-		resp, raw := e.do(t, tc.method, tc.path, tc.contentType, []byte(tc.body))
-		if resp.StatusCode != tc.wantStatus {
-			t.Fatalf("%s: status %d, want %d: %s", tc.name, resp.StatusCode, tc.wantStatus, raw)
-		}
-		var body map[string]json.RawMessage
-		if err := json.Unmarshal(raw, &body); err != nil {
-			t.Fatalf("%s: %v: %s", tc.name, err, raw)
-		}
-		if _, ok := body["error"]; !ok {
-			t.Fatalf("%s: legacy body missing error: %s", tc.name, raw)
-		}
-		for _, k := range []string{"code", "status", "detail"} {
-			if _, ok := body[k]; ok {
-				t.Fatalf("%s: legacy body leaked %q: %s", tc.name, k, raw)
-			}
-		}
 	}
 }

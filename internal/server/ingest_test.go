@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"dpslog"
 	"dpslog/internal/searchlog"
@@ -38,8 +39,9 @@ func TestCorpusPutChunkedStreaming(t *testing.T) {
 	}
 }
 
-// TestCorpusPutAOLFormat: ?format=aol ingests the historical 5-column form,
-// and the stored digest equals the ReadAOL normalization of the same bytes.
+// TestCorpusPutAOLFormat: Content-Type application/x-aol-log ingests the
+// historical 5-column form, and the stored digest equals the ReadAOL
+// normalization of the same bytes.
 func TestCorpusPutAOLFormat(t *testing.T) {
 	e := newTestEnv(t, Config{DataDir: t.TempDir()})
 	aol := "AnonID\tQuery\tQueryTime\tItemRank\tClickURL\n" +
@@ -51,7 +53,7 @@ func TestCorpusPutAOLFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, raw := e.do(t, http.MethodPut, "/v1/corpora/aol?format=aol", "text/plain", []byte(aol))
+	resp, raw := e.do(t, http.MethodPut, "/v1/corpora/aol", "application/x-aol-log", []byte(aol))
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("AOL PUT status %d: %s", resp.StatusCode, raw)
 	}
@@ -60,10 +62,13 @@ func TestCorpusPutAOLFormat(t *testing.T) {
 		t.Fatalf("AOL meta %+v, want digest %s size %d", meta, want.Digest(), want.Size())
 	}
 
-	// Unknown formats are a client error, not a silent TSV parse attempt.
-	resp, _ = e.do(t, http.MethodPut, "/v1/corpora/aol?format=parquet", "text/plain", []byte(aol))
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("format=parquet status %d, want 400", resp.StatusCode)
+	// A format query parameter, whatever its value, is a client error
+	// rather than a silent TSV parse attempt.
+	for _, v := range []string{"aol", "parquet"} {
+		resp, _ = e.do(t, http.MethodPut, "/v1/corpora/aol?format="+v, "application/x-aol-log", []byte(aol))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("format=%s status %d, want 400", v, resp.StatusCode)
+		}
 	}
 }
 
@@ -107,7 +112,18 @@ func TestCorpusPutIngestGate(t *testing.T) {
 		}
 		done <- err
 	}()
-	<-gateBody.started // the slow upload holds its reservation
+	<-gateBody.started
+	// The transport starts reading the body before the handler has
+	// reserved capacity; wait until the slow upload holds its reservation.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, uploads := e.srv.gate.Stats(); uploads == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			close(gateBody.release)
+			t.Fatal("the slow upload never reserved ingest capacity")
+		}
+	}
 
 	resp, raw := e.do(t, http.MethodPut, "/v1/corpora/shed", "text/plain", []byte(e2eTSV))
 	if resp.StatusCode != http.StatusServiceUnavailable {

@@ -39,8 +39,6 @@ type solverMetrics struct {
 	refactorizations int64
 	presolveRows     int64
 	presolveCols     int64
-	warmHits         int64
-	warmMisses       int64
 }
 
 // ingestMetrics accumulates the streaming corpus-upload counters plus a
@@ -124,8 +122,6 @@ func (m *Metrics) ObserveSolver(iterations int, st dpslog.SolveStats) {
 	m.solver.refactorizations += int64(st.Refactorizations)
 	m.solver.presolveRows += int64(st.PresolveRows)
 	m.solver.presolveCols += int64(st.PresolveCols)
-	m.solver.warmHits += int64(st.WarmHits)
-	m.solver.warmMisses += int64(st.WarmMisses)
 }
 
 // ObserveSanitizeMechanism records one completed sanitization under its
@@ -310,10 +306,6 @@ func (m *Metrics) WriteTo(w io.Writer, g Gauges) {
 	fmt.Fprintln(w, "# HELP slserve_solver_presolve_cols_total Variables fixed by LP presolve.")
 	fmt.Fprintln(w, "# TYPE slserve_solver_presolve_cols_total counter")
 	fmt.Fprintf(w, "slserve_solver_presolve_cols_total %d\n", m.solver.presolveCols)
-	fmt.Fprintln(w, "# HELP slserve_solver_warm_starts_total LP solves by warm-start outcome: hit = prior basis installed, miss = cold start.")
-	fmt.Fprintln(w, "# TYPE slserve_solver_warm_starts_total counter")
-	fmt.Fprintf(w, "slserve_solver_warm_starts_total{result=\"hit\"} %d\n", m.solver.warmHits)
-	fmt.Fprintf(w, "slserve_solver_warm_starts_total{result=\"miss\"} %d\n", m.solver.warmMisses)
 
 	fmt.Fprintln(w, "# HELP slserve_sanitize_mechanism_total Completed sanitizations by release mechanism (cached and solved alike).")
 	fmt.Fprintln(w, "# TYPE slserve_sanitize_mechanism_total counter")

@@ -406,7 +406,6 @@ func TestMetricsExpositionParses(t *testing.T) {
 		"slserve_solver_lp_solves_total":        "counter",
 		"slserve_solver_iterations_total":       "counter",
 		"slserve_solver_refactorizations_total": "counter",
-		"slserve_solver_warm_starts_total":      "counter",
 		"slserve_build_info":                    "gauge",
 		"slserve_goroutines":                    "gauge",
 		"slserve_heap_alloc_bytes":              "gauge",

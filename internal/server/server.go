@@ -56,12 +56,11 @@
 //	application/x-aol-log      the historical AOL 5-column form
 //	application/json           the {"records": [...]}/{"tsv": "..."} envelope
 //
-// The legacy ?format=aol query parameter is honored for one more release
-// and answered with a "Deprecation: true" response header.
+// An upload carrying a format query parameter is refused with 400: the
+// body format is negotiated on Content-Type only.
 //
 // Every non-2xx response across every endpoint carries the uniform error
-// envelope {"error", "code", "status", "detail"?} (see errors.go);
-// Config.LegacyErrors trims it back to the historical {"error"} shape.
+// envelope {"error", "code", "status", "detail"?} (see errors.go).
 //
 // Each corpus version is immutable with its own digest; the ledger charges
 // releases per digest under sequential composition, so appending never
@@ -73,7 +72,8 @@
 //
 // Both sanitize endpoints dispatch on ?mechanism= (or the JSON "mechanism"
 // option) through internal/mechanism's registry: "ump" (default), "laplace",
-// "zealous" and "localdp". The aggregate mechanisms release noisy pair
+// "zealous" and "localdp". Every mechanism runs through the one
+// Mechanism.Sanitize path. The aggregate mechanisms release noisy pair
 // counts ("pairs") instead of user-attributed records, and each release is
 // charged at the mechanism's own declared (ε, δ) cost.
 package server
@@ -116,10 +116,6 @@ type Config struct {
 	// MaxJobs bounds the retained async jobs (default 1024); the oldest
 	// finished jobs are evicted first.
 	MaxJobs int
-	// WarmPools bounds the per-problem simplex warm-start caches retained
-	// for plan-cache-miss re-solves (default 32; negative disables warm
-	// starts entirely).
-	WarmPools int
 	// MaxBodyBytes caps request bodies (default 32 MiB). Corpus uploads
 	// (PUT /v1/corpora/{name}) are exempt — they stream through the
 	// sharded ingest under MaxCorpusBytes and the MaxIngestBytes gate
@@ -174,10 +170,6 @@ type Config struct {
 	// version re-solves only the connected components the appended rows
 	// actually changed (default 4096 entries; negative disables).
 	CompCacheSize int
-	// LegacyErrors reverts non-2xx bodies to the pre-envelope {"error": ...}
-	// shape (no code/status/detail fields) for one release while clients
-	// migrate to the structured envelope.
-	LegacyErrors bool
 	// TraceBuffer is the ring capacity of retained request traces served by
 	// GET /v1/debug/traces (default 128).
 	TraceBuffer int
@@ -203,9 +195,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxJobs == 0 {
 		c.MaxJobs = 1024
-	}
-	if c.WarmPools == 0 {
-		c.WarmPools = 32
 	}
 	if c.MaxBodyBytes == 0 {
 		c.MaxBodyBytes = 32 << 20
@@ -242,7 +231,6 @@ type Server struct {
 	pool  *Pool
 	jobs  *jobStore
 	cache *planCache
-	warm  *warmPools
 	// comp is the shared component-plan cache behind incremental re-solves;
 	// nil when disabled. Safe to share across corpora and versions — the
 	// component content digest is the reuse identity.
@@ -277,7 +265,6 @@ func New(cfg Config) (*Server, error) {
 		pool:    NewPool(cfg.Workers, cfg.Queue),
 		jobs:    newJobStore(cfg.MaxJobs),
 		cache:   newPlanCache(cfg.CacheSize),
-		warm:    newWarmPools(cfg.WarmPools),
 		metrics: NewMetrics(),
 		logger:  cfg.Logger,
 		mux:     http.NewServeMux(),
@@ -752,67 +739,40 @@ func (s *Server) runSanitize(ctx context.Context, l *dpslog.Log, opts dpslog.Opt
 		hit.Cached = true
 		return &hit, nil
 	}
-	if mech.Name() != "ump" {
-		// Aggregate mechanisms: no plan, no preprocessing stats — the
-		// release is the noisy pair histogram.
-		rel, err := mech.Sanitize(ctx, l, opts)
-		if err != nil {
-			return nil, err
-		}
-		pairs := make([]pairJSON, len(rel.Pairs))
-		for i, pc := range rel.Pairs {
-			pairs[i] = pairJSON{Query: pc.Query, URL: pc.URL, Count: pc.Count}
-		}
-		resp = &sanitizeResponse{
-			Digest:        digest,
-			Seed:          opts.Seed,
-			InputSize:     l.Size(),
-			Records:       []Record{},
-			Mechanism:     mech.Name(),
-			Pairs:         pairs,
-			ReleaseDigest: rel.Digest(),
-		}
-		s.metrics.ObserveSanitizeMechanism(mech.Name())
-		s.cache.Put(key, resp)
-		own := *resp
-		return &own, nil
-	}
-	san, err := dpslog.New(opts)
-	if err != nil {
-		return nil, err
-	}
-	// Re-solves of a known (corpus, canonical options) pair — i.e. plan
-	// cache evictions — warm-start from that exact problem's previous
-	// optimal basis. The pool is keyed by the full cache key on purpose:
-	// the UMP LPs can have alternate optima, so seeding a solve with a
-	// *different* problem's basis could land on a different optimal vertex
-	// and make identical requests history-dependent. Per-key pools
-	// reproduce the prior basis instead, preserving the determinism
-	// contract.
-	_, wsp := obs.Start(ctx, "warmpool.lookup")
-	san.SetWarmCache(s.warm.get(key))
-	wsp.End()
 	// The component-plan cache makes post-append re-solves incremental:
 	// components untouched by the append are served byte-identically from
 	// cache, only the changed ones re-solve. One cache serves every corpus
 	// and version — the component content digest is the reuse identity.
-	san.SetCompCache(s.comp)
-	res, err := san.SanitizeContext(ctx, l)
+	// Aggregate mechanisms ignore it.
+	opts.Comp = s.comp
+	rel, err := mech.Sanitize(ctx, l, opts)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Record, 0, res.Output.NumTriplets())
-	for _, rec := range res.Output.Records() {
-		out = append(out, Record{User: rec.User, Query: rec.Query, URL: rec.URL, Count: rec.Count})
-	}
 	resp = &sanitizeResponse{
-		Digest:           digest,
-		Seed:             opts.Seed,
-		InputSize:        l.Size(),
-		PreprocessedSize: res.Preprocessed.Size(),
-		Preprocess:       res.PreStats,
-		DroppedUsers:     res.DroppedUsers,
-		Plan: planJSON{
+		Digest:        digest,
+		Seed:          opts.Seed,
+		InputSize:     l.Size(),
+		Records:       []Record{},
+		Mechanism:     mech.Name(),
+		Pairs:         make([]pairJSON, len(rel.Pairs)),
+		ReleaseDigest: rel.Digest(),
+	}
+	for i, pc := range rel.Pairs {
+		resp.Pairs[i] = pairJSON{Query: pc.Query, URL: pc.URL, Count: pc.Count}
+	}
+	s.metrics.ObserveSanitizeMechanism(mech.Name())
+	// Schema-preserving releases (UMP) also carry the plan, the sampled
+	// records and the preprocessing outcome.
+	if res := rel.Result; res != nil {
+		resp.Records = make([]Record, 0, res.Output.NumTriplets())
+		for _, rec := range res.Output.Records() {
+			resp.Records = append(resp.Records, Record{User: rec.User, Query: rec.Query, URL: rec.URL, Count: rec.Count})
+		}
+		resp.PreprocessedSize = res.Preprocessed.Size()
+		resp.Preprocess = res.PreStats
+		resp.DroppedUsers = res.DroppedUsers
+		resp.Plan = planJSON{
 			Kind:                res.Plan.Kind,
 			OutputSize:          res.Plan.OutputSize,
 			Objective:           res.Plan.Objective,
@@ -823,14 +783,10 @@ func (s *Server) runSanitize(ctx context.Context, l *dpslog.Log, opts dpslog.Opt
 			ReusedComponents:    res.Plan.Reused,
 			NoiseApplied:        res.Plan.NoiseApplied,
 			Counts:              res.Plan.Counts,
-		},
-		Records:       out,
-		Mechanism:     "ump",
-		ReleaseDigest: res.Output.Digest(),
+		}
+		s.metrics.ObserveSolveComponents(res.Plan.Components)
+		s.metrics.ObserveSolver(res.Plan.Iterations, res.Plan.Solver)
 	}
-	s.metrics.ObserveSanitizeMechanism("ump")
-	s.metrics.ObserveSolveComponents(res.Plan.Components)
-	s.metrics.ObserveSolver(res.Plan.Iterations, res.Plan.Solver)
 	s.cache.Put(key, resp)
 	// Callers stamp per-request fields (ElapsedMS, Cached) on the result, so
 	// hand back a copy rather than the struct the cache now owns.

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -447,73 +448,45 @@ func TestConcurrentSanitizeRequests(t *testing.T) {
 	}
 }
 
-// TestWarmReSolvesReproduceRelease (PR 3): with the plan cache disabled,
-// every repeated request re-solves — from the second solve on, warm-started
-// from the corpus's pooled simplex bases. Warm starts are a latency
-// optimization only: the release (plan counts, sampled records) must be
-// identical to the cold solve's.
+// TestWarmReSolvesReproduceRelease: with every cache that could answer a
+// repeat disabled, each request of every mechanism re-runs the release from
+// scratch, and the release must not depend on what the server ran before:
+// three identical requests give one release digest and, for ump, one plan.
+// For ump the component cache is disabled as well, so the LP itself is
+// re-solved each time.
 func TestWarmReSolvesReproduceRelease(t *testing.T) {
-	e := newTestEnv(t, Config{CacheSize: -1}) // every request is a cache miss
-	var first sanitizeResponse
-	for i := 0; i < 3; i++ {
-		resp, raw := e.post(t, "/v1/sanitize?eexp=2&delta=0.5&seed=4", "text/plain", e.tsv)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("request %d: status %d: %s", i, resp.StatusCode, raw)
-		}
-		out := decode[sanitizeResponse](t, raw)
-		if out.Cached {
-			t.Fatalf("request %d: cache must be disabled", i)
-		}
-		if i == 0 {
-			first = out
-			continue
-		}
-		if out.Plan.OutputSize != first.Plan.OutputSize || out.Plan.Objective != first.Plan.Objective {
-			t.Fatalf("warm re-solve %d changed the plan: %+v vs %+v", i, out.Plan, first.Plan)
-		}
-		if len(out.Plan.Counts) != len(first.Plan.Counts) {
-			t.Fatalf("warm re-solve %d changed the plan shape", i)
-		}
-		for j := range out.Plan.Counts {
-			if out.Plan.Counts[j] != first.Plan.Counts[j] {
-				t.Fatalf("warm re-solve %d changed count %d: %d vs %d", i, j, out.Plan.Counts[j], first.Plan.Counts[j])
+	for _, mc := range mechanismCases(t) {
+		t.Run(mc.name, func(t *testing.T) {
+			cfg := Config{CacheSize: -1}
+			if mc.name == "ump" {
+				cfg.CompCacheSize = -1
 			}
-		}
-		if len(out.Records) != len(first.Records) {
-			t.Fatalf("warm re-solve %d changed the sampled release size", i)
-		}
-	}
-	if e.srv.warm.Len() != 1 {
-		t.Fatalf("warm pools = %d, want 1 (one solved problem)", e.srv.warm.Len())
-	}
-	// A different budget on the same corpus is a different problem and must
-	// get its own pool — sharing bases across budgets could select a
-	// different optimal vertex under alternate optima and make identical
-	// requests history-dependent.
-	if resp, raw := e.post(t, "/v1/sanitize?eexp=1.4&delta=0.5&seed=4", "text/plain", e.tsv); resp.StatusCode != http.StatusOK {
-		t.Fatalf("second budget: status %d: %s", resp.StatusCode, raw)
-	}
-	if e.srv.warm.Len() != 2 {
-		t.Fatalf("warm pools = %d after second budget, want 2 (per-problem pools)", e.srv.warm.Len())
-	}
-}
-
-// TestWarmPoolsLRUBound pins the per-digest warm pool cap.
-func TestWarmPoolsLRUBound(t *testing.T) {
-	w := newWarmPools(2)
-	a := w.get("a")
-	if a == nil || w.get("a") != a {
-		t.Fatal("same digest must return the same pool")
-	}
-	w.get("b")
-	w.get("c") // evicts a
-	if w.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", w.Len())
-	}
-	if w.get("a") == a {
-		t.Fatal("evicted digest must get a fresh pool")
-	}
-	if newWarmPools(0).get("x") != nil {
-		t.Fatal("capacity 0 disables pooling")
+			e := newTestEnv(t, cfg)
+			var first sanitizeResponse
+			for i := 0; i < 3; i++ {
+				resp, raw := e.post(t, "/v1/sanitize?"+fmt.Sprintf(mc.query, 4), "text/tab-separated-values", e.tsv)
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("request %d: status %d: %s", i, resp.StatusCode, raw)
+				}
+				out := decode[sanitizeResponse](t, raw)
+				if out.Cached || out.Plan.ReusedComponents != 0 {
+					t.Fatalf("request %d was served from a cache (cached %v, reused components %d)",
+						i, out.Cached, out.Plan.ReusedComponents)
+				}
+				if i == 0 {
+					first = out
+					continue
+				}
+				if out.ReleaseDigest == "" || out.ReleaseDigest != first.ReleaseDigest {
+					t.Fatalf("re-run %d released %q, first run %q", i, out.ReleaseDigest, first.ReleaseDigest)
+				}
+				if !slices.Equal(out.Plan.Counts, first.Plan.Counts) {
+					t.Fatalf("re-run %d changed the plan counts", i)
+				}
+			}
+			if mc.name == "ump" && len(first.Plan.Counts) == 0 {
+				t.Fatal("ump response carries no plan counts")
+			}
+		})
 	}
 }

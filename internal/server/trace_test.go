@@ -183,15 +183,13 @@ func TestReadyzStatefulGatesOnOpen(t *testing.T) {
 	}
 }
 
-// TestSolverCountersAfterWarmResolve disables the plan cache so an identical
-// second request re-solves the same LP, warm-starting from the per-key warm
-// pool — then asserts the solver-depth counters in /metrics through the
-// text-format parser: iterations, refactorizations, presolve eliminations
-// and at least one warm-start hit (second solve) and miss (first solve).
-func TestSolverCountersAfterWarmResolve(t *testing.T) {
+// TestSolverCountersAfterResolve disables the plan cache so an identical
+// second request re-solves the same LP, then asserts the solver-depth
+// counters in /metrics through the text-format parser: LP solves,
+// iterations, refactorizations and presolve eliminations.
+func TestSolverCountersAfterResolve(t *testing.T) {
 	// The component cache would serve the identical second solve without
-	// touching the LP at all; disable it so the warm-start path is what
-	// answers the repeat.
+	// touching the LP at all; disable it so the repeat solves again.
 	e := newTestEnv(t, Config{CacheSize: -1, CompCacheSize: -1})
 	for i := 0; i < 2; i++ {
 		resp, raw := e.post(t, "/v1/sanitize?eexp=2&delta=0.5&seed=1", "text/tab-separated-values", e.tsv)
@@ -240,12 +238,6 @@ func TestSolverCountersAfterWarmResolve(t *testing.T) {
 	}
 	if v := value("slserve_solver_presolve_rows_total", nil); v <= 0 {
 		t.Errorf("presolve_rows_total = %g, want > 0", v)
-	}
-	if v := value("slserve_solver_warm_starts_total", map[string]string{"result": "miss"}); v < 1 {
-		t.Errorf("warm miss = %g, want ≥ 1 (first solve is cold)", v)
-	}
-	if v := value("slserve_solver_warm_starts_total", map[string]string{"result": "hit"}); v < 1 {
-		t.Errorf("warm hit = %g, want ≥ 1 (second solve warm-starts)", v)
 	}
 	for _, stage := range []string{"solve", "lp.solve", "preprocess", "queue.wait", "sample"} {
 		if v := value("slserve_stage_duration_seconds_count", map[string]string{"stage": stage}); v <= 0 {

@@ -3,10 +3,11 @@ package server
 // The continual-release API surface (PR 10): POST append creating corpus
 // versions, the versions endpoints, ?version= resolution on sanitize and
 // budget reads, per-version spend isolation across appends and restarts,
-// and the Content-Type/?format= negotiation with its Deprecation signal.
+// and the Content-Type negotiation of raw upload bodies.
 
 import (
 	"net/http"
+	"strings"
 	"testing"
 )
 
@@ -182,8 +183,9 @@ func TestVersionsAndSpendSurviveRestart(t *testing.T) {
 	}
 }
 
-// TestUploadContentNegotiation: Content-Type selects the body format;
-// ?format= still works but is answered with a Deprecation header.
+// TestUploadContentNegotiation: Content-Type selects the body format; an
+// upload selecting it with ?format= is refused with 400 and a message that
+// names the Content-Type values, not ingested as TSV.
 func TestUploadContentNegotiation(t *testing.T) {
 	e := newTestEnv(t, Config{DataDir: t.TempDir()})
 	aol := []byte("AnonID\tQuery\tQueryTime\tItemRank\tClickURL\n" +
@@ -199,15 +201,28 @@ func TestUploadContentNegotiation(t *testing.T) {
 	}
 	viaHeader := decode[corpusMetaJSON](t, raw)
 
-	resp, raw = e.do(t, http.MethodPut, "/v1/corpora/viaquery?format=aol", "text/plain", aol)
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("AOL via ?format=: %d %s", resp.StatusCode, raw)
+	for _, req := range []struct{ method, path string }{
+		{http.MethodPut, "/v1/corpora/viaquery?format=aol"},
+		{http.MethodPost, "/v1/corpora/viaheader/append?format=aol"},
+	} {
+		resp, raw = e.do(t, req.method, req.path, "text/plain", aol)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s %s: %d %s, want 400", req.method, req.path, resp.StatusCode, raw)
+		}
+		if resp.Header.Get("Deprecation") != "" {
+			t.Fatalf("%s: a refused ?format= must not carry a Deprecation header", req.path)
+		}
+		env := decode[apiError](t, raw)
+		if env.Code != "bad_request" || !strings.Contains(env.Error, "text/tab-separated-values") ||
+			!strings.Contains(env.Error, "application/x-aol-log") {
+			t.Fatalf("%s: envelope %+v must be bad_request naming the Content-Type values", req.path, env)
+		}
 	}
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Fatalf("?format= must set the Deprecation header, got %q", resp.Header.Get("Deprecation"))
+	if _, ok := e.srv.corpora.Meta("viaquery"); ok {
+		t.Fatal("a refused ?format= upload was stored")
 	}
-	if decode[corpusMetaJSON](t, raw).Digest != viaHeader.Digest {
-		t.Fatal("header- and query-negotiated AOL uploads diverged")
+	if m, _ := e.srv.corpora.Meta("viaheader"); m.Digest != viaHeader.Digest {
+		t.Fatal("a refused ?format= append created a version")
 	}
 
 	// The negotiation applies to append too.

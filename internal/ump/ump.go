@@ -55,8 +55,8 @@ const (
 
 // WarmStarts is a concurrency-safe pool of simplex basis snapshots shared
 // across related solves of one corpus: the ε/δ grid sweeps re-solve the
-// same constraint matrix under different budgets, and the serving layer
-// re-solves the same corpus on plan-cache misses. Bases are keyed by
+// same constraint matrix under different budgets, and the breach-minimizing
+// frontier re-solves it for a ladder of target sizes. Bases are keyed by
 // (problem kind, decomposition scope, LP shape), so a snapshot can only
 // ever seed a structurally compatible solve — and the LP layer re-validates
 // shape, nonsingularity and primal feasibility before using one, falling
@@ -119,7 +119,7 @@ type Options struct {
 	// LP is passed through to the simplex solver.
 	LP lp.Options
 	// Warm, when non-nil, shares simplex bases across solves (grid sweeps,
-	// plan-cache-miss re-solves). Pools are corpus-scoped: callers must not
+	// frontier ladders). Pools are corpus-scoped: callers must not
 	// share one pool across different corpora — a mismatched basis is
 	// harmless (it fails warm-start validation) but wastes the lookup.
 	Warm *WarmStarts
