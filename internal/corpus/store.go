@@ -5,9 +5,10 @@
 //
 // Each corpus is one canonical TSV file under the store directory, written
 // atomically (temp file + fsync + rename) so a crash can never leave a
-// half-written corpus behind. An in-memory index holds every corpus's
-// digest and shape, and the parsed Log itself is cached — uploads are rare
-// and reads are hot, which is exactly the profile an in-memory cache wants.
+// half-written corpus behind. The store keeps one entry per corpus in
+// memory: the parsed Log of the latest version, its version chain and its
+// on-disk size. Every other version is rebuilt from the latest on demand
+// (see version.go) and never kept.
 package corpus
 
 import (
@@ -62,12 +63,30 @@ type Meta struct {
 
 // Store is the corpus registry. All methods are safe for concurrent use.
 type Store struct {
-	mu       sync.Mutex
-	dir      string
-	metas    map[string]Meta
-	logs     map[string]*searchlog.Log // latest version of each corpus
-	versions map[string][]Version      // append-only chain, base first
-	oldLogs  map[string]*searchlog.Log // materialized non-latest versions
+	mu      sync.Mutex
+	dir     string
+	corpora map[string]*stored
+}
+
+// stored is the in-memory state of one corpus.
+type stored struct {
+	log      *searchlog.Log // the latest version
+	versions []Version      // append-only chain, base first
+	bytes    int64          // on-disk size of the latest version's TSV
+}
+
+// meta derives the corpus metadata from the chain head.
+func (c *stored) meta(name string) Meta {
+	head := c.versions[len(c.versions)-1]
+	return Meta{
+		Name:     name,
+		Digest:   head.Digest,
+		Size:     head.Size,
+		NumUsers: head.NumUsers,
+		NumPairs: head.NumPairs,
+		Bytes:    c.bytes,
+		Uploaded: head.Created.UTC(),
+	}
 }
 
 // Open creates (if needed) and loads the store directory, parsing every
@@ -76,13 +95,7 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("corpus: create store dir: %w", err)
 	}
-	s := &Store{
-		dir:      dir,
-		metas:    make(map[string]Meta),
-		logs:     make(map[string]*searchlog.Log),
-		versions: make(map[string][]Version),
-		oldLogs:  make(map[string]*searchlog.Log),
-	}
+	s := &Store{dir: dir, corpora: make(map[string]*stored)}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("corpus: scan store dir: %w", err)
@@ -123,26 +136,12 @@ func (s *Store) load(name string, e os.DirEntry) error {
 	}
 	// Align content with the recorded version chain (heal a crashed append,
 	// or synthesize the single-version chain of a legacy corpus).
-	vs, latest, digest, bytes, err := s.reconcile(name, l, hex.EncodeToString(h.Sum(nil)), info.Size(), info.ModTime())
+	c, err := s.reconcile(name, l, hex.EncodeToString(h.Sum(nil)), info.Size(), info.ModTime())
 	if err != nil {
 		return err
 	}
-	s.metas[name] = metaOf(name, latest, digest, bytes, vs[len(vs)-1].Created)
-	s.logs[name] = latest
-	s.versions[name] = vs
+	s.corpora[name] = c
 	return nil
-}
-
-func metaOf(name string, l *searchlog.Log, digest string, bytes int64, uploaded time.Time) Meta {
-	return Meta{
-		Name:     name,
-		Digest:   digest,
-		Size:     l.Size(),
-		NumUsers: l.NumUsers(),
-		NumPairs: l.NumPairs(),
-		Bytes:    bytes,
-		Uploaded: uploaded.UTC(),
-	}
 }
 
 func (s *Store) path(name string) string {
@@ -190,20 +189,22 @@ func (s *Store) Put(name string, l *searchlog.Log) (Meta, error) {
 		return Meta{}, fmt.Errorf("corpus: publish %s: %w", name, err)
 	}
 	syncDir(s.dir)
-	m := metaOf(name, l, hex.EncodeToString(h.Sum(nil)), info.Size(), time.Now())
 	// A PUT is a full replacement, not an append: the version chain resets
 	// to a single base version and any prior deltas are orphaned. (Budget
 	// accounting is digest-keyed in the ledger and survives untouched.)
-	s.removeChainFiles(name, s.versions[name])
-	vs := []Version{baseVersion(l, m.Digest, m.Uploaded)}
-	if err := s.writeVersions(name, vs); err != nil {
+	if old, ok := s.corpora[name]; ok {
+		s.removeChainFiles(name, old.versions)
+	}
+	c := &stored{
+		log:      l,
+		versions: []Version{baseVersion(l, hex.EncodeToString(h.Sum(nil)), time.Now())},
+		bytes:    info.Size(),
+	}
+	if err := s.writeVersions(name, c.versions); err != nil {
 		return Meta{}, err
 	}
-	s.dropOld(name)
-	s.metas[name] = m
-	s.logs[name] = l
-	s.versions[name] = vs
-	return m, nil
+	s.corpora[name] = c
+	return c.meta(name), nil
 }
 
 // syncDir makes a rename durable; not all platforms support fsync on a
@@ -216,23 +217,15 @@ func syncDir(dir string) {
 	}
 }
 
-// Get returns the parsed log and metadata for name.
-func (s *Store) Get(name string) (*searchlog.Log, Meta, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m, ok := s.metas[name]
-	if !ok {
-		return nil, Meta{}, fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	return s.logs[name], m, nil
-}
-
 // Meta returns the metadata for name without touching the parsed log.
 func (s *Store) Meta(name string) (Meta, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m, ok := s.metas[name]
-	return m, ok
+	c, ok := s.corpora[name]
+	if !ok {
+		return Meta{}, false
+	}
+	return c.meta(name), true
 }
 
 // Delete removes a stored corpus. Privacy accounting lives in the ledger,
@@ -241,17 +234,15 @@ func (s *Store) Meta(name string) (Meta, bool) {
 func (s *Store) Delete(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.metas[name]; !ok {
+	c, ok := s.corpora[name]
+	if !ok {
 		return fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
 	if err := os.Remove(s.path(name)); err != nil && !errors.Is(err, os.ErrNotExist) {
 		return fmt.Errorf("corpus: delete %s: %w", name, err)
 	}
-	s.removeChainFiles(name, s.versions[name])
-	s.dropOld(name)
-	delete(s.metas, name)
-	delete(s.logs, name)
-	delete(s.versions, name)
+	s.removeChainFiles(name, c.versions)
+	delete(s.corpora, name)
 	return nil
 }
 
@@ -259,17 +250,10 @@ func (s *Store) Delete(name string) error {
 func (s *Store) List() []Meta {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]Meta, 0, len(s.metas))
-	for _, m := range s.metas {
-		out = append(out, m)
+	out := make([]Meta, 0, len(s.corpora))
+	for name, c := range s.corpora {
+		out = append(out, c.meta(name))
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].Name < out[b].Name })
 	return out
-}
-
-// Len returns the number of stored corpora.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.metas)
 }

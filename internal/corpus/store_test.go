@@ -40,14 +40,14 @@ func TestPutGetDeleteList(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, gm, err := s.Get("alpha")
+	got, gv, err := s.GetVersion("alpha", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Digest() != la.Digest() || gm.Digest != m.Digest {
-		t.Fatal("Get returned a different corpus")
+	if got.Digest() != la.Digest() || gv.Digest != m.Digest {
+		t.Fatal("GetVersion returned a different corpus")
 	}
-	if _, _, err := s.Get("missing"); !errors.Is(err, ErrNotFound) {
+	if _, _, err := s.GetVersion("missing", ""); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("want ErrNotFound, got %v", err)
 	}
 
@@ -65,8 +65,8 @@ func TestPutGetDeleteList(t *testing.T) {
 	if err := s.Delete("alpha"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("double delete: %v", err)
 	}
-	if s.Len() != 1 {
-		t.Fatalf("Len %d after delete", s.Len())
+	if n := len(s.List()); n != 1 {
+		t.Fatalf("%d corpora after delete", n)
 	}
 }
 
@@ -96,7 +96,7 @@ func TestReopenRebuildsIndex(t *testing.T) {
 	if m != want {
 		t.Fatalf("reopened meta %+v, want %+v", m, want)
 	}
-	l, _, err := re.Get("alpha")
+	l, _, err := re.GetVersion("alpha", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestOpenSkipsLeftoverTempFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Len() != 0 {
+	if len(s.List()) != 0 {
 		t.Fatalf("temp leftover surfaced as corpus: %v", s.List())
 	}
 }
@@ -186,7 +186,7 @@ func TestConcurrentAccess(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, _, err := s.Get("shared"); err != nil {
+				if _, _, err := s.GetVersion("shared", ""); err != nil {
 					t.Error(err)
 					return
 				}

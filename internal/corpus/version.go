@@ -22,12 +22,12 @@ package corpus
 // base version — because the corpus a reader can actually parse must never
 // disagree with the versions the API reports.
 //
-// Old versions are materialized on demand by subtraction: version k's
+// Old versions are materialized on every read by subtraction: version k's
 // histogram is the latest histogram minus the deltas k+1..n, which is
-// exact because counts are non-negative and merging is addition. The
-// recorded digest of the target version is re-verified after every
-// materialization, so a corrupt delta file can never silently serve wrong
-// bytes under a trusted digest.
+// exact because counts are non-negative and merging is addition. Only the
+// latest version is kept in memory. The recorded digest of the target
+// version is re-verified after every materialization, so a corrupt delta
+// file can never silently serve wrong bytes under a trusted digest.
 
 import (
 	"encoding/json"
@@ -169,20 +169,20 @@ func (s *Store) removeChainFiles(name string, vs []Version) {
 
 // reconcile aligns a loaded corpus's TSV content with its recorded chain.
 // It is called under the store lock at Open time, after name.tsv parsed to
-// (l, digest). It returns the chain plus the (possibly healed) latest log,
-// digest and byte size.
-func (s *Store) reconcile(name string, l *searchlog.Log, digest string, bytes int64, mod time.Time) ([]Version, *searchlog.Log, string, int64, error) {
+// (l, digest) of the given byte size. It returns the corpus entry: the
+// chain plus the (possibly healed) latest log and its byte size.
+func (s *Store) reconcile(name string, l *searchlog.Log, digest string, bytes int64, mod time.Time) (*stored, error) {
 	vs, err := s.readVersions(name)
 	if err != nil {
-		return nil, nil, "", 0, err
+		return nil, err
 	}
 	if len(vs) == 0 {
 		// Legacy (pre-version) corpus: a single base version, synthesized in
 		// memory only — opening a store must not write to it.
-		return []Version{baseVersion(l, digest, mod)}, l, digest, bytes, nil
+		return &stored{log: l, versions: []Version{baseVersion(l, digest, mod)}, bytes: bytes}, nil
 	}
 	if vs[len(vs)-1].Digest == digest {
-		return vs, l, digest, bytes, nil
+		return &stored{log: l, versions: vs, bytes: bytes}, nil
 	}
 	// The latest file does not match the chain head. If it matches an
 	// ancestor, an append crashed between publishing the chain and
@@ -214,32 +214,31 @@ func (s *Store) reconcile(name string, l *searchlog.Log, digest string, bytes in
 			healed = next
 		}
 		if ok {
-			head := vs[len(vs)-1]
 			n, werr := s.writeAtomic(s.path(name), func(w io.Writer) error {
 				_, e := searchlog.WriteTSV(w, healed)
 				return e
 			})
 			if werr != nil {
-				return nil, nil, "", 0, werr
+				return nil, werr
 			}
-			return vs, healed, head.Digest, n, nil
+			return &stored{log: healed, versions: vs, bytes: n}, nil
 		}
 		// Deltas missing or corrupt: the content we can parse wins — truncate
 		// the chain at the version the TSV actually is.
 		trunc := append([]Version(nil), vs[:at+1]...)
 		if werr := s.writeVersions(name, trunc); werr != nil {
-			return nil, nil, "", 0, werr
+			return nil, werr
 		}
-		return trunc, l, digest, bytes, nil
+		return &stored{log: l, versions: trunc, bytes: bytes}, nil
 	}
 	// The TSV matches nothing in the chain — it was replaced out-of-band.
 	// Content wins: reset to a single base version.
 	s.removeChainFiles(name, vs)
 	reset := []Version{baseVersion(l, digest, mod)}
 	if werr := s.writeVersions(name, reset); werr != nil {
-		return nil, nil, "", 0, werr
+		return nil, werr
 	}
-	return reset, l, digest, bytes, nil
+	return &stored{log: l, versions: reset, bytes: bytes}, nil
 }
 
 // readDelta parses the delta file that produced version seq.
@@ -298,26 +297,25 @@ func (s *Store) Append(name string, delta *searchlog.Log) (Meta, Version, []stri
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m, ok := s.metas[name]
+	c, ok := s.corpora[name]
 	if !ok {
 		return Meta{}, Version{}, nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	parent := s.logs[name]
-	counts := parent.UserCounts()
+	counts := c.log.UserCounts()
 	addCounts(counts, delta)
 	merged, err := searchlog.BuildFromUserCounts(counts)
 	if err != nil {
 		return Meta{}, Version{}, nil, fmt.Errorf("corpus: fold append into %s: %w", name, err)
 	}
 	digest := merged.Digest()
-	if digest == m.Digest {
+	parent := c.versions[len(c.versions)-1].Digest
+	if digest == parent {
 		// Cannot happen for a non-empty delta (the mass strictly grows), but
 		// guard it: two chain entries with one digest would break every
 		// digest-keyed consumer.
 		return Meta{}, Version{}, nil, fmt.Errorf("corpus: append to %s produced no change", name)
 	}
-	vs := s.versions[name]
-	seq := len(vs) + 1
+	seq := len(c.versions) + 1
 	touched := make([]string, 0, delta.NumUsers())
 	for k := 0; k < delta.NumUsers(); k++ {
 		touched = append(touched, delta.User(k).ID)
@@ -332,7 +330,7 @@ func (s *Store) Append(name string, delta *searchlog.Log) (Meta, Version, []stri
 	}
 	v := Version{
 		Digest:     digest,
-		Parent:     m.Digest,
+		Parent:     parent,
 		Seq:        seq,
 		Rows:       merged.NumTriplets(),
 		DeltaRows:  delta.NumTriplets(),
@@ -342,7 +340,7 @@ func (s *Store) Append(name string, delta *searchlog.Log) (Meta, Version, []stri
 		NumPairs:   merged.NumPairs(),
 		Created:    time.Now().UTC(),
 	}
-	next := append(append([]Version(nil), vs...), v)
+	next := append(append([]Version(nil), c.versions...), v)
 	if err := s.writeVersions(name, next); err != nil {
 		return Meta{}, Version{}, nil, err
 	}
@@ -353,117 +351,83 @@ func (s *Store) Append(name string, delta *searchlog.Log) (Meta, Version, []stri
 	if err != nil {
 		return Meta{}, Version{}, nil, err
 	}
-
-	nm := metaOf(name, merged, digest, n, v.Created)
-	s.metas[name] = nm
-	s.logs[name] = merged
-	s.versions[name] = next
-	// The parent — no longer latest — stays reachable: seed the old-version
-	// cache with it so the first ?version= read of the previous head does
-	// not pay a materialization.
-	s.cacheOld(name, m.Digest, parent)
-	return nm, v, touched, nil
+	c = &stored{log: merged, versions: next, bytes: n}
+	s.corpora[name] = c
+	return c.meta(name), v, touched, nil
 }
 
 // Versions returns the corpus's version chain, base first.
 func (s *Store) Versions(name string) ([]Version, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	vs, ok := s.versions[name]
+	c, ok := s.corpora[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	return append([]Version(nil), vs...), nil
+	return append([]Version(nil), c.versions...), nil
 }
 
-// VersionMeta returns the chain entry with the given digest.
+// find returns name's entry and the chain index of the version with the
+// given digest ("" names the latest). Callers hold s.mu.
+func (s *Store) find(name, digest string) (*stored, int, error) {
+	c, ok := s.corpora[name]
+	if !ok {
+		return nil, 0, fmt.Errorf("%w: %q", ErrNotFound, name)
+	}
+	if digest == "" {
+		return c, len(c.versions) - 1, nil
+	}
+	for i, v := range c.versions {
+		if v.Digest == digest {
+			return c, i, nil
+		}
+	}
+	return nil, 0, fmt.Errorf("%w: %q@%s", ErrVersionNotFound, name, digest)
+}
+
+// VersionMeta returns the chain entry with the given digest ("" names the
+// latest version).
 func (s *Store) VersionMeta(name, digest string) (Version, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	vs, ok := s.versions[name]
-	if !ok {
-		return Version{}, fmt.Errorf("%w: %q", ErrNotFound, name)
+	c, at, err := s.find(name, digest)
+	if err != nil {
+		return Version{}, err
 	}
-	for _, v := range vs {
-		if v.Digest == digest {
-			return v, nil
-		}
-	}
-	return Version{}, fmt.Errorf("%w: %q@%s", ErrVersionNotFound, name, digest)
+	return c.versions[at], nil
 }
 
 // GetVersion returns the parsed log and chain entry of the version with
-// the given digest (the latest is served from the primary cache; ancestors
-// are materialized by subtracting the deltas that came after them, then
-// digest-verified and cached).
+// the given digest ("" names the latest version). The latest is served
+// from memory; an ancestor is materialized on every call by subtracting
+// the deltas that came after it from the latest, then digest-verified.
 func (s *Store) GetVersion(name, digest string) (*searchlog.Log, Version, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	vs, ok := s.versions[name]
-	if !ok {
-		return nil, Version{}, fmt.Errorf("%w: %q", ErrNotFound, name)
+	c, at, err := s.find(name, digest)
+	if err != nil {
+		return nil, Version{}, err
 	}
-	at := -1
-	for i := range vs {
-		if vs[i].Digest == digest {
-			at = i
-			break
-		}
+	v := c.versions[at]
+	if at == len(c.versions)-1 {
+		return c.log, v, nil
 	}
-	if at < 0 {
-		return nil, Version{}, fmt.Errorf("%w: %q@%s", ErrVersionNotFound, name, digest)
-	}
-	v := vs[at]
-	if at == len(vs)-1 {
-		return s.logs[name], v, nil
-	}
-	if l, ok := s.oldLogs[oldKey(name, digest)]; ok {
-		return l, v, nil
-	}
-	counts := s.logs[name].UserCounts()
-	for i := len(vs) - 1; i > at; i-- {
-		delta, err := s.readDelta(name, vs[i].Seq)
+	counts := c.log.UserCounts()
+	for i := len(c.versions) - 1; i > at; i-- {
+		delta, err := s.readDelta(name, c.versions[i].Seq)
 		if err != nil {
-			return nil, Version{}, fmt.Errorf("corpus: materialize %s@%s: %w", name, digest, err)
+			return nil, Version{}, fmt.Errorf("corpus: materialize %s@%s: %w", name, v.Digest, err)
 		}
 		if err := subCounts(counts, delta); err != nil {
-			return nil, Version{}, fmt.Errorf("corpus: materialize %s@%s: %w", name, digest, err)
+			return nil, Version{}, fmt.Errorf("corpus: materialize %s@%s: %w", name, v.Digest, err)
 		}
 	}
 	l, err := searchlog.BuildFromUserCounts(counts)
 	if err != nil {
-		return nil, Version{}, fmt.Errorf("corpus: materialize %s@%s: %w", name, digest, err)
+		return nil, Version{}, fmt.Errorf("corpus: materialize %s@%s: %w", name, v.Digest, err)
 	}
-	if got := l.Digest(); got != digest {
-		return nil, Version{}, fmt.Errorf("corpus: materialized %s@%s hashes to %s — delta files corrupt", name, digest, got)
+	if got := l.Digest(); got != v.Digest {
+		return nil, Version{}, fmt.Errorf("corpus: materialized %s@%s hashes to %s — delta files corrupt", name, v.Digest, got)
 	}
-	s.cacheOld(name, digest, l)
 	return l, v, nil
-}
-
-func oldKey(name, digest string) string { return name + "\x00" + digest }
-
-// cacheOld remembers a materialized non-latest version, bounded so a
-// pathological chain cannot pin every historical version in memory.
-func (s *Store) cacheOld(name, digest string, l *searchlog.Log) {
-	const maxOld = 8
-	if len(s.oldLogs) >= maxOld {
-		for k := range s.oldLogs {
-			delete(s.oldLogs, k)
-			if len(s.oldLogs) < maxOld {
-				break
-			}
-		}
-	}
-	s.oldLogs[oldKey(name, digest)] = l
-}
-
-// dropOld evicts every cached old version of name (Put and Delete reset
-// the chain, so prior materializations are orphaned).
-func (s *Store) dropOld(name string) {
-	for k := range s.oldLogs {
-		if len(k) > len(name) && k[:len(name)] == name && k[len(name)] == 0 {
-			delete(s.oldLogs, k)
-		}
-	}
 }

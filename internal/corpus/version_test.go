@@ -3,8 +3,11 @@ package corpus
 import (
 	"errors"
 	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"weak"
 
 	"dpslog/internal/searchlog"
 )
@@ -40,7 +43,7 @@ func TestAppendCreatesVersionChain(t *testing.T) {
 		t.Fatalf("delta shape %+v", v2)
 	}
 	// The fold is addition: u2's count for (q1, a) is 1 + 5.
-	l2, _, err := s.Get("c")
+	l2, _, err := s.GetVersion("c", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,8 +76,7 @@ func TestGetVersionMaterializesAncestors(t *testing.T) {
 		t.Fatal(err)
 	}
 	la := testLog(t, rowsA)
-	base, err := s.Put("c", la)
-	if err != nil {
+	if _, err := s.Put("c", la); err != nil {
 		t.Fatal(err)
 	}
 	_, v2, _, err := s.Append("c", testLog(t, deltaRows1))
@@ -85,21 +87,22 @@ func TestGetVersionMaterializesAncestors(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The base version must materialize back to the exact original bytes.
-	l1, vm, err := s.GetVersion("c", base.Digest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vm.Seq != 1 || l1.Digest() != la.Digest() {
-		t.Fatalf("base version materialized to %s (seq %d)", l1.Digest(), vm.Seq)
-	}
-	// The middle version too (exercises the delta-subtraction path).
-	lm, _, err := s.GetVersion("c", v2.Digest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lm.Digest() != v2.Digest {
-		t.Fatalf("middle version materialized to %s, want %s", lm.Digest(), v2.Digest)
+	// Both ancestors materialize back to their exact recorded bytes, by
+	// subtracting the later deltas from the latest version; a second read
+	// subtracts again and must agree with the first.
+	for _, want := range []struct {
+		digest string
+		seq    int
+	}{{la.Digest(), 1}, {v2.Digest, 2}} {
+		for read := 0; read < 2; read++ {
+			l, vm, err := s.GetVersion("c", want.digest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if vm.Seq != want.seq || l.Digest() != want.digest {
+				t.Fatalf("read %d of version %d materialized to %s (seq %d)", read, want.seq, l.Digest(), vm.Seq)
+			}
+		}
 	}
 	if _, _, err := s.GetVersion("c", "no-such-digest"); !errors.Is(err, ErrVersionNotFound) {
 		t.Fatalf("want ErrVersionNotFound, got %v", err)
@@ -107,6 +110,73 @@ func TestGetVersionMaterializesAncestors(t *testing.T) {
 	if _, err := s.VersionMeta("c", v2.Digest); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func TestGetVersionRejectsCorruptDelta(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := s.Put("c", testLog(t, rowsA))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, v2, _, err := s.Append("c", testLog(t, deltaRows1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, v3, _, err := s.Append("c", testLog(t, deltaRows2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Replace the delta that produced v3 with other valid rows. Subtracting
+	// it from the latest still succeeds, but yields content that is not v2;
+	// subtracting v2's delta after it then drops u2's (q1, a) count below 0.
+	if err := os.WriteFile(filepath.Join(dir, "c.d3.tsv"), []byte("u2\tq1\thttp://a\t2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.GetVersion("c", base.Digest); err == nil || !strings.Contains(err.Error(), "exceeds descendant count") {
+		t.Fatalf("base over a corrupt delta: want a subtraction underflow, got %v", err)
+	}
+	if _, _, err := s.GetVersion("c", v2.Digest); err == nil || !strings.Contains(err.Error(), "delta files corrupt") {
+		t.Fatalf("v2 over a corrupt delta: want a digest mismatch, got %v", err)
+	}
+	// The latest version is held in memory and needs no delta.
+	l, v, err := s.GetVersion("c", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Digest != v3.Digest || l.Digest() != v3.Digest {
+		t.Fatalf("latest served %s, want %s", l.Digest(), v3.Digest)
+	}
+}
+
+// TestAppendReleasesParent pins that the store holds one log per corpus:
+// once an append makes a new latest version, nothing in the store keeps
+// the parent's parsed log alive.
+func TestAppendReleasesParent(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := func() weak.Pointer[searchlog.Log] {
+		l := testLog(t, rowsA)
+		if _, err := s.Put("c", l); err != nil {
+			t.Fatal(err)
+		}
+		return weak.Make(l)
+	}()
+	if _, _, _, err := s.Append("c", testLog(t, deltaRows1)); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	if w.Value() != nil {
+		t.Fatal("the parent version's log is still reachable after Append")
+	}
+	// The store must outlive the check, or collecting it would free the
+	// parent whatever it holds.
+	runtime.KeepAlive(s)
 }
 
 func TestVersionChainSurvivesReopen(t *testing.T) {
@@ -211,7 +281,7 @@ func TestCrashedAppendHealsOnOpen(t *testing.T) {
 	if m.Digest != v2.Digest {
 		t.Fatalf("healed latest %s, want chain head %s", m.Digest, v2.Digest)
 	}
-	l, _, err := re.Get("c")
+	l, _, err := re.GetVersion("c", "")
 	if err != nil {
 		t.Fatal(err)
 	}

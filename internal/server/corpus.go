@@ -363,33 +363,17 @@ func (s *Server) handleCorpusVersionGet(w http.ResponseWriter, r *http.Request) 
 	})
 }
 
-// resolveVersion applies the ?version= query to a resolved corpus: it
-// returns the digest the request addresses (the latest when the query is
-// absent) and, when the caller needs the data (wantLog), the materialized
-// log of that version. On failure the 404 has been written and ok is false.
-func (s *Server) resolveVersion(w http.ResponseWriter, r *http.Request, m corpus.Meta, latest *dpslog.Log, wantLog bool) (*dpslog.Log, string, bool) {
-	q := r.URL.Query().Get("version")
-	if q == "" || q == m.Digest {
-		return latest, m.Digest, true
-	}
-	if !wantLog {
-		v, err := s.corpora.VersionMeta(m.Name, q)
-		if err != nil {
-			s.writeError(w, http.StatusNotFound, "corpus %q has no version %s", m.Name, q)
-			return nil, "", false
-		}
-		return nil, v.Digest, true
-	}
-	l, v, err := s.corpora.GetVersion(m.Name, q)
+// writeVersionError writes the error of a failed corpus version lookup
+// (?version= names the version; empty means the latest).
+func (s *Server) writeVersionError(w http.ResponseWriter, name, version string, err error) {
 	switch {
-	case errors.Is(err, corpus.ErrNotFound), errors.Is(err, corpus.ErrVersionNotFound):
-		s.writeError(w, http.StatusNotFound, "corpus %q has no version %s", m.Name, q)
-		return nil, "", false
-	case err != nil: // materialization failed: the server's own disk
+	case errors.Is(err, corpus.ErrNotFound):
+		s.writeError(w, http.StatusNotFound, "unknown corpus %q", name)
+	case errors.Is(err, corpus.ErrVersionNotFound):
+		s.writeError(w, http.StatusNotFound, "corpus %q has no version %s", name, version)
+	default: // materialization failed: the server's own disk
 		s.writeError(w, http.StatusInternalServerError, "%v", err)
-		return nil, "", false
 	}
-	return l, v.Digest, true
 }
 
 func (s *Server) handleCorpusDelete(w http.ResponseWriter, r *http.Request) {
@@ -407,36 +391,32 @@ func (s *Server) handleCorpusDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCorpusBudget(w http.ResponseWriter, r *http.Request) {
-	m, ok := s.lookupCorpus(w, r)
-	if !ok {
-		return
-	}
-	_, digest, ok := s.resolveVersion(w, r, m, nil, false)
-	if !ok {
+	name, version := r.PathValue("name"), r.URL.Query().Get("version")
+	v, err := s.corpora.VersionMeta(name, version)
+	if err != nil {
+		s.writeVersionError(w, name, version, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"corpus":  m.Name,
-		"digest":  digest,
-		"version": digest,
-		"budget":  s.budgetStatus(digest),
+		"corpus":  name,
+		"digest":  v.Digest,
+		"version": v.Digest,
+		"budget":  s.budgetStatus(v.Digest),
 	})
 }
 
 func (s *Server) handleCorpusReleases(w http.ResponseWriter, r *http.Request) {
-	m, ok := s.lookupCorpus(w, r)
-	if !ok {
-		return
-	}
-	_, digest, ok := s.resolveVersion(w, r, m, nil, false)
-	if !ok {
+	name, version := r.PathValue("name"), r.URL.Query().Get("version")
+	v, err := s.corpora.VersionMeta(name, version)
+	if err != nil {
+		s.writeVersionError(w, name, version, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"corpus":   m.Name,
-		"digest":   digest,
-		"version":  digest,
-		"releases": s.budgets.Releases(digest),
+		"corpus":   name,
+		"digest":   v.Digest,
+		"version":  v.Digest,
+		"releases": s.budgets.Releases(v.Digest),
 	})
 }
 
@@ -451,25 +431,22 @@ func (s *Server) handleCorpusReleases(w http.ResponseWriter, r *http.Request) {
 // (ε, δ).
 func (s *Server) handleCorpusSanitize(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	// Capture the (log, digest) pair once, atomically: the Log is immutable,
-	// so a concurrent PUT replacing the name cannot desynchronize the data
+	// Capture the (log, version) pair once, atomically: the Log is
+	// immutable, so a concurrent PUT or append cannot desynchronize the data
 	// the solve reads from the digest the ledger charges and the plan cache
 	// keys — the release is always accounted against exactly the dataset it
-	// was computed from.
-	name := r.PathValue("name")
-	l, m, gerr := s.corpora.Get(name)
-	if gerr != nil {
-		s.writeError(w, http.StatusNotFound, "unknown corpus %q", name)
+	// was computed from. ?version= selects an ancestor of the chain; the
+	// default is the latest. Everything downstream — seed, plan cache,
+	// ledger check and charge — is keyed by that version's digest, so
+	// old-version releases compose against that version's own budget and
+	// replay for free forever.
+	name, version := r.PathValue("name"), r.URL.Query().Get("version")
+	l, v, err := s.corpora.GetVersion(name, version)
+	if err != nil {
+		s.writeVersionError(w, name, version, err)
 		return
 	}
-	// ?version= selects an ancestor of the chain; the default is the latest.
-	// Everything downstream — seed, plan cache, ledger check and charge — is
-	// keyed by the resolved version's digest, so old-version releases compose
-	// against that version's own budget and replay for free forever.
-	l, digest, ok := s.resolveVersion(w, r, m, l, true)
-	if !ok {
-		return
-	}
+	digest := v.Digest
 	var req corpusSanitizeRequest
 	if err := decodeJSON(r, &req); err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
@@ -499,7 +476,7 @@ func (s *Server) handleCorpusSanitize(w http.ResponseWriter, r *http.Request) {
 	if err := s.budgets.CheckCtx(r.Context(), digest, key, eps, delta); err != nil {
 		var over *dpslog.OverBudgetError
 		if errors.As(err, &over) {
-			s.writeOverBudget(w, m.Name, over)
+			s.writeOverBudget(w, name, over)
 			return
 		}
 		s.writeError(w, http.StatusInternalServerError, "%v", err)
@@ -537,11 +514,11 @@ func (s *Server) handleCorpusSanitize(w http.ResponseWriter, r *http.Request) {
 	// output byte leaves the server. A race with concurrent releases can
 	// still exhaust the budget here; the solve is then discarded — compute
 	// is wasted, privacy is not.
-	rel, _, err := s.budgets.ChargeCtx(ctx, m.Name, digest, key, mech.Name(), eps, delta)
+	rel, _, err := s.budgets.ChargeCtx(ctx, name, digest, key, mech.Name(), eps, delta)
 	if err != nil {
 		var over *dpslog.OverBudgetError
 		if errors.As(err, &over) {
-			s.writeOverBudget(w, m.Name, over)
+			s.writeOverBudget(w, name, over)
 			return
 		}
 		s.writeError(w, http.StatusInternalServerError, "%v", err)
@@ -553,7 +530,7 @@ func (s *Server) handleCorpusSanitize(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, corpusSanitizeResponse{
 		sanitizeResponse: *resp,
-		Corpus:           m.Name,
+		Corpus:           name,
 		Version:          digest,
 		Release:          rel,
 		Budget:           s.budgetStatus(digest),

@@ -47,6 +47,7 @@ var envelopeCases = []envelopeCase{
 	{"corpus budget unknown", "GET", "/v1/corpora/nope/budget", "", "", http.StatusNotFound},
 	{"corpus budget bad version", "GET", "/v1/corpora/have/budget?version=beef", "", "", http.StatusNotFound},
 	{"corpus releases unknown", "GET", "/v1/corpora/nope/releases", "", "", http.StatusNotFound},
+	{"corpus releases bad version", "GET", "/v1/corpora/have/releases?version=beef", "", "", http.StatusNotFound},
 	{"corpus versions unknown", "GET", "/v1/corpora/nope/versions", "", "", http.StatusNotFound},
 	{"corpus version unknown digest", "GET", "/v1/corpora/have/versions/beef", "", "", http.StatusNotFound},
 	{"corpus append unknown", "POST", "/v1/corpora/nope/append", "text/tab-separated-values", "u\tq\thttp://u\t1\n", http.StatusNotFound},
