@@ -101,6 +101,22 @@ func DecomposeCtx(ctx context.Context, l *searchlog.Log) []Component {
 	return comps
 }
 
+// Whole returns the one-component partition of l: a single component that
+// shares the parent *Log, with identity pair and user maps. It is what
+// Decompose returns for a connected log, and what internal/ump solves over
+// when decomposition is disabled or the log is empty.
+func Whole(l *searchlog.Log) []Component {
+	return []Component{{Log: l, Pairs: identity(l.NumPairs()), Users: identity(l.NumUsers())}}
+}
+
+func identity(n int) []int {
+	ix := make([]int, n)
+	for i := range ix {
+		ix[i] = i
+	}
+	return ix
+}
+
 func decompose(l *searchlog.Log) []Component {
 	if l.NumPairs() == 0 {
 		return nil
@@ -128,13 +144,7 @@ func decompose(l *searchlog.Log) []Component {
 		comps[ci].Pairs = append(comps[ci].Pairs, i)
 	}
 	if len(comps) == 1 {
-		users := make([]int, l.NumUsers())
-		for k := range users {
-			users[k] = k
-		}
-		comps[0].Users = users
-		comps[0].Log = l
-		return comps
+		return Whole(l)
 	}
 	for k := 0; k < l.NumUsers(); k++ {
 		// Every user in a Log holds at least one pair, so its root is mapped.

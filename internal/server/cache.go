@@ -7,7 +7,7 @@ import (
 
 // planCache is a thread-safe LRU cache over completed sanitization
 // responses. Keys combine the input log's digest with the canonicalized
-// Options (see Server.cacheKey), so a repeated sanitization of the same
+// Options (see Server.identify), so a repeated sanitization of the same
 // corpus under an equivalent configuration is served without re-solving.
 // Values are stored as immutable *sanitizeResponse snapshots and must not
 // be mutated by readers.

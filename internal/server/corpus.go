@@ -452,22 +452,12 @@ func (s *Server) handleCorpusSanitize(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	opts := req.Options
-	if err := opts.Validate(); err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
+	mech, ok := s.admit(w, req.Options)
+	if !ok {
 		return
 	}
-	mech, err := s.resolveMechanism(opts)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	// Resolve the deterministic seed now so the release identity is fixed
-	// before any work happens.
-	if opts.Seed == 0 {
-		opts.Seed = seedFromDigest(digest)
-	}
-	key := cacheKey(digest, opts)
+	// Fix the release identity (seed included) before any work happens.
+	opts, key := s.identify(req.Options, digest)
 	cost := mech.Cost(opts)
 	eps, delta := cost.Epsilon, cost.Delta
 
@@ -488,24 +478,12 @@ func (s *Server) handleCorpusSanitize(w http.ResponseWriter, r *http.Request) {
 		runErr error
 	)
 	ctx := r.Context()
-	_, qsp := obs.Start(ctx, "queue.wait")
-	err = s.pool.Do(ctx, func() {
-		qsp.End()
-		resp, runErr = s.runSanitize(ctx, l, opts, digest)
-	})
-	qsp.End()
-	switch {
-	case errors.Is(err, ErrSaturated):
-		w.Header().Set("Retry-After", "1")
-		s.writeError(w, http.StatusServiceUnavailable, "worker pool saturated")
+	if !s.onPool(ctx, w, "worker pool saturated", func() {
+		resp, runErr = s.runSanitize(ctx, l, mech, opts, digest, key)
+	}) {
 		return
-	case errors.Is(err, ErrClosed):
-		s.writeError(w, http.StatusServiceUnavailable, "server shutting down")
-		return
-	case err != nil: // client went away; the solve finishes in background
-		w.WriteHeader(statusClientClosedRequest)
-		return
-	case runErr != nil:
+	}
+	if runErr != nil {
 		s.writeError(w, http.StatusUnprocessableEntity, "%v", runErr)
 		return
 	}

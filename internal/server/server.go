@@ -661,19 +661,23 @@ func optionsFromQuery(r *http.Request) (dpslog.Options, error) {
 	return opts, nil
 }
 
-// resolveMechanism maps the request's mechanism selection to its registered
-// implementation and enforces the configured allowlist. Errors are client
-// errors (400): an unknown or disabled mechanism name.
-func (s *Server) resolveMechanism(opts dpslog.Options) (mechanism.Mechanism, error) {
+// admit validates the request's options and resolves their mechanism
+// against the configured allowlist, writing the 400 when either fails: an
+// invalid option, an unknown mechanism, or one disabled on this server.
+func (s *Server) admit(w http.ResponseWriter, opts dpslog.Options) (mechanism.Mechanism, bool) {
 	m, err := mechanism.Get(opts.Mechanism)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		err = m.Validate(opts)
 	}
-	if len(s.cfg.Mechanisms) > 0 && !slices.Contains(s.cfg.Mechanisms, m.Name()) {
-		return nil, fmt.Errorf("mechanism %q is disabled on this server (enabled: %s)",
+	if err == nil && len(s.cfg.Mechanisms) > 0 && !slices.Contains(s.cfg.Mechanisms, m.Name()) {
+		err = fmt.Errorf("mechanism %q is disabled on this server (enabled: %s)",
 			m.Name(), strings.Join(s.cfg.Mechanisms, ", "))
 	}
-	return m, nil
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, "%v", err)
+		return nil, false
+	}
+	return m, true
 }
 
 // seedFromDigest derives the deterministic default seed for requests that
@@ -687,36 +691,14 @@ func seedFromDigest(digest string) uint64 {
 	return binary.BigEndian.Uint64(b[:8])
 }
 
-// cacheKey is the plan cache identity and the ledger's release identity:
-// corpus digest ⊕ canonical options, and for UMP ⊕ the plan format. A
-// format 1 key carries no format tag, so keys journaled before the tag
-// existed are format 1 keys and no longer match a UMP request.
-func cacheKey(digest string, opts dpslog.Options) string {
-	canon := opts.Canonical()
-	js, err := json.Marshal(canon)
-	if err != nil {
-		return digest // unreachable: Options marshals cleanly
-	}
-	key := digest + "\x00" + string(js)
-	if canon.Mechanism == "" {
-		key += fmt.Sprintf("\x00plan-format=%d", ump.PlanFormat)
-	}
-	return key
-}
-
-// --- Sanitization core ---------------------------------------------------
-
-// runSanitize executes (or cache-serves) one sanitization, dispatching on
-// the options' mechanism. It is called on a pool worker for sync requests,
-// async jobs, and corpus releases. digest is the precomputed corpus
-// identity — corpus requests pass the stored digest so referencing a corpus
-// never re-hashes it.
-func (s *Server) runSanitize(ctx context.Context, l *dpslog.Log, opts dpslog.Options, digest string) (*sanitizeResponse, error) {
-	mech, err := mechanism.Get(opts.Mechanism)
-	if err != nil {
-		return nil, err
-	}
-	obs.FromContext(ctx).SetAttr("mechanism", mech.Name())
+// identify fixes a release's identity before any work happens. It fills
+// the seed a request omitted (derived from the corpus digest) and the
+// server's parallelism default, and returns the resolved options with the
+// release key: corpus digest ⊕ canonical options, and for UMP ⊕ the plan
+// format. The key is both the plan cache identity and the ledger's release
+// identity. A format 1 key carries no format tag, so keys journaled before
+// the tag existed are format 1 keys and no longer match a UMP request.
+func (s *Server) identify(opts dpslog.Options, digest string) (dpslog.Options, string) {
 	if opts.Seed == 0 {
 		opts.Seed = seedFromDigest(digest)
 	}
@@ -728,7 +710,51 @@ func (s *Server) runSanitize(ctx context.Context, l *dpslog.Log, opts dpslog.Opt
 		// invariant in it — so this does not fragment the plan cache.
 		opts.Parallelism = s.cfg.SolveParallelism
 	}
-	key := cacheKey(digest, opts)
+	canon := opts.Canonical()
+	js, err := json.Marshal(canon)
+	if err != nil {
+		return opts, digest // unreachable: Options marshals cleanly
+	}
+	key := digest + "\x00" + string(js)
+	if canon.Mechanism == "" {
+		key += fmt.Sprintf("\x00plan-format=%d", ump.PlanFormat)
+	}
+	return opts, key
+}
+
+// onPool runs fn on a pool worker under a "queue.wait" span and reports
+// whether it ran. When it did not, onPool has written the response: 503
+// with the saturated message (and Retry-After) when the queue is full, 503
+// while the server shuts down, and 499 when the client went away first (a
+// started fn then finishes in the background).
+func (s *Server) onPool(ctx context.Context, w http.ResponseWriter, saturated string, fn func()) bool {
+	// The queue.wait span closes as the first act of the task — on a worker
+	// — so it measures exactly the backlog time. End is idempotent; the
+	// second call covers the never-ran error paths.
+	_, qsp := obs.Start(ctx, "queue.wait")
+	err := s.pool.Do(ctx, func() { qsp.End(); fn() })
+	qsp.End()
+	switch {
+	case errors.Is(err, ErrSaturated):
+		w.Header().Set("Retry-After", "1")
+		s.writeError(w, http.StatusServiceUnavailable, "%s", saturated)
+	case errors.Is(err, ErrClosed):
+		s.writeError(w, http.StatusServiceUnavailable, "server shutting down")
+	case err != nil:
+		w.WriteHeader(statusClientClosedRequest)
+	}
+	return err == nil
+}
+
+// --- Sanitization core ---------------------------------------------------
+
+// runSanitize executes (or cache-serves) one sanitization through mech,
+// the mechanism admit resolved. It is called on a pool worker for sync
+// requests, async jobs, and corpus releases. opts and key come from
+// identify; digest is the precomputed corpus identity — corpus requests
+// pass the stored digest so referencing a corpus never re-hashes it.
+func (s *Server) runSanitize(ctx context.Context, l *dpslog.Log, mech mechanism.Mechanism, opts dpslog.Options, digest, key string) (*sanitizeResponse, error) {
+	obs.FromContext(ctx).SetAttr("mechanism", mech.Name())
 	_, csp := obs.Start(ctx, "cache.lookup")
 	resp, ok := s.cache.Get(key)
 	csp.SetAttr("hit", ok)
@@ -948,41 +974,26 @@ func (s *Server) handleSanitize(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// Validate before queueing so configuration mistakes fail fast with 400
+	// Admit before queueing so configuration mistakes fail fast with 400
 	// instead of consuming a worker slot.
-	if err := opts.Validate(); err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if _, err := s.resolveMechanism(opts); err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
+	mech, ok := s.admit(w, opts)
+	if !ok {
 		return
 	}
 	_, hsp := obs.Start(ctx, "digest")
 	digest := dpslog.Digest(l)
 	hsp.End()
+	opts, key := s.identify(opts, digest)
 	var (
 		resp   *sanitizeResponse
 		runErr error
 	)
-	// The queue.wait span closes as the first act of the task — on a worker
-	// — so it measures exactly the backlog time. End is idempotent; the
-	// second call below covers the never-ran error paths.
-	_, qsp := obs.Start(ctx, "queue.wait")
-	err = s.pool.Do(ctx, func() { qsp.End(); resp, runErr = s.runSanitize(ctx, l, opts, digest) })
-	qsp.End()
-	switch {
-	case errors.Is(err, ErrSaturated):
-		w.Header().Set("Retry-After", "1")
-		s.writeError(w, http.StatusServiceUnavailable, "worker pool saturated; retry or submit an async job to /v1/jobs")
+	if !s.onPool(ctx, w, "worker pool saturated; retry or submit an async job to /v1/jobs", func() {
+		resp, runErr = s.runSanitize(ctx, l, mech, opts, digest, key)
+	}) {
 		return
-	case errors.Is(err, ErrClosed):
-		s.writeError(w, http.StatusServiceUnavailable, "server shutting down")
-		return
-	case err != nil: // client went away; the solve finishes in background
-		w.WriteHeader(statusClientClosedRequest)
-		return
-	case runErr != nil:
+	}
+	if runErr != nil {
 		s.writeError(w, http.StatusUnprocessableEntity, "%v", runErr)
 		return
 	}
@@ -1007,12 +1018,8 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if err := opts.Validate(); err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if _, err := s.resolveMechanism(opts); err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
+	mech, ok := s.admit(w, opts)
+	if !ok {
 		return
 	}
 	job := s.jobs.Create()
@@ -1025,7 +1032,9 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		root.SetAttr("job_id", job.ID)
 		defer root.End()
 		start := time.Now()
-		resp, err := s.runSanitize(ctx, l, opts, dpslog.Digest(l))
+		digest := dpslog.Digest(l)
+		opts, key := s.identify(opts, digest)
+		resp, err := s.runSanitize(ctx, l, mech, opts, digest, key)
 		if err != nil {
 			root.SetAttr("error", err.Error())
 			s.jobs.Fail(job.ID, err)
@@ -1089,27 +1098,15 @@ func (s *Server) handleLambda(w http.ResponseWriter, r *http.Request) {
 		lambda int
 		runErr error
 	)
-	_, qsp := obs.Start(r.Context(), "queue.wait")
-	err = s.pool.Do(r.Context(), func() {
-		qsp.End()
+	if !s.onPool(r.Context(), w, "worker pool saturated", func() {
 		// Same oversubscription guard as sanitize solves: the worker pool
 		// already fills the cores, so components solve at the configured
 		// per-solve parallelism rather than the library's GOMAXPROCS.
 		lambda, runErr = dpslog.LambdaParallelism(l, eps, req.Delta, s.cfg.SolveParallelism)
-	})
-	qsp.End()
-	switch {
-	case errors.Is(err, ErrSaturated):
-		w.Header().Set("Retry-After", "1")
-		s.writeError(w, http.StatusServiceUnavailable, "worker pool saturated")
+	}) {
 		return
-	case errors.Is(err, ErrClosed):
-		s.writeError(w, http.StatusServiceUnavailable, "server shutting down")
-		return
-	case err != nil:
-		w.WriteHeader(statusClientClosedRequest)
-		return
-	case runErr != nil:
+	}
+	if runErr != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", runErr)
 		return
 	}

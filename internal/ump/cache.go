@@ -15,8 +15,8 @@ package ump
 // the components served from cache.
 //
 // Only solves whose per-component outcome is independent of the other
-// components are cached: O-UMP (also F-UMP's and C-UMP's phase-1 λ
-// solves, which are O-UMP by construction) and D-UMP. Q-UMP selects its
+// components are cached: O-UMP (also C-UMP's phase-1 λ solves and
+// multi-component F-UMP's, which are O-UMP by construction) and D-UMP. Q-UMP selects its
 // candidates globally and F-UMP/C-UMP phase 2 depend on the global
 // allocation and scale, so those always re-solve — correctness first,
 // reuse second.
@@ -31,8 +31,9 @@ import (
 
 // ComponentCache is a concurrency-safe cache of per-component plans keyed
 // by component content digest and solve identity. Share one cache across
-// the versions of a corpus (the serving layer scopes one per corpus name
-// and canonical options) to make appends re-solve only what changed.
+// the versions of a corpus to make appends re-solve only what changed; the
+// key carries no corpus name, so one cache can serve many corpora (slserve
+// shares a single cache across all of them).
 type ComponentCache struct {
 	mu      sync.Mutex
 	cap     int
@@ -131,10 +132,12 @@ func compCacheKey(kind string, params dp.Params, solver string, noBox bool, dige
 }
 
 // cachedComponent runs solve for one component through the cache in o.Comp
-// (a no-op pass-through when no cache is attached). kind and solver must
-// fully determine the solve given params and the component content.
+// (a no-op pass-through when no cache is attached, and for the empty
+// one-component partition of an empty log, which solves without an LP).
+// kind and solver must fully determine the solve given params and the
+// component content.
 func (o Options) cachedComponent(kind string, params dp.Params, solver string, c *partition.Component, solve func() (*Plan, error)) (*Plan, error) {
-	if o.Comp == nil {
+	if o.Comp == nil || c.Log.NumPairs() == 0 {
 		return solve()
 	}
 	key := compCacheKey(kind, params, solver, o.NoBoxConstraint, c.Log.Digest())

@@ -1,29 +1,36 @@
 package ump
 
-// This file is the component-decomposed front door of the package. Theorem
-// 1's constraints couple pairs only through shared users — each row is one
-// user log, and a user's pairs all lie in the user's connected component of
-// the user–pair incidence graph — so every utility-maximizing problem whose
-// objective is separable across pairs splits into independent per-component
-// solves whose plans stitch back together losslessly (DESIGN.md §6):
+// This file is the package's front door: every utility-maximizing problem
+// solves over a partition of the log into independent components and
+// stitches the per-component plans back together. Theorem 1's constraints
+// couple pairs only through shared users — each row is one user log, and a
+// user's pairs all lie in the user's connected component of the user–pair
+// incidence graph — so every problem whose objective is separable across
+// pairs splits losslessly by connected component (DESIGN.md §6):
 //
 //   - O-UMP: fully separable; λ and the plan are additive.
 //   - D-UMP: the BIP optimum is additive. The default SPE heuristic is not
 //     ordering-invariant across components (it eliminates the globally
 //     largest coefficient even from satisfied components), so the
-//     per-component solve retains ≥ as many pairs as the monolithic one.
+//     per-component solve retains ≥ as many pairs as the whole-log one.
 //   - Q-UMP: candidates (one pair per distinct query) are selected globally
 //     — a query's pairs can span components — then inserted per component;
-//     the greedy outcome equals the monolithic one exactly.
+//     the greedy outcome equals the whole-log one exactly.
 //   - F-UMP: the Σx = |O| row spans components, so |O| is allocated across
 //     components proportionally to their per-component λ (largest-remainder
 //     rounding). The allocation is a heuristic: the decomposed optimum is
-//     the monolithic one restricted to that allocation, hence ≥ it in
+//     the whole-log one restricted to that allocation, hence ≥ it in
 //     distance. The linearization scale 1/|O| and the frequent-pair set use
-//     the global corpus, so the model is otherwise identical.
+//     the global corpus, so the model is otherwise identical. A single
+//     component takes all of |O| and skips the λ phase.
 //   - C-UMP: separable once the scale anchor λ is fixed; the decomposed
 //     path anchors against the sum of per-component λ_LP (within FP
-//     round-off of the monolithic anchor).
+//     round-off of the whole-log anchor).
+//
+// A connected log is one component sharing the parent *Log, so it solves
+// the same single LP, BIP or greedy as the whole log. Options.NoDecompose
+// and an empty log use the one-component partition partition.Whole, which
+// keeps the whole-log solve as the decomposition tests' reference.
 //
 // Per-component solves run concurrently on a bounded worker pool
 // (Options.Parallelism, default GOMAXPROCS). Plans are invariant in the
@@ -62,6 +69,16 @@ func workerCount(parallelism, n int) int {
 // preprocessing differences) never reuses stale per-component bases.
 func compScope(ci, n int) string {
 	return fmt.Sprintf("c%d.%d", ci, n)
+}
+
+// components returns the partition a solve runs over: the connected
+// components of l, or the one-component partition under
+// Options.NoDecompose and for an empty log (which has no components).
+func components(l *searchlog.Log, opts Options) []partition.Component {
+	if opts.NoDecompose || l.NumPairs() == 0 {
+		return partition.Whole(l)
+	}
+	return partition.DecomposeCtx(opts.ctx(), l)
 }
 
 // solvePerComponent runs solve for every component on a bounded worker pool
@@ -133,21 +150,25 @@ func stitch(kind Kind, l *searchlog.Log, comps []partition.Component, plans []*P
 	return plan
 }
 
+// outputSizeComponent is the per-component O-UMP solve of a partition into
+// n components. MaxOutputSize and the λ phases of F-UMP and C-UMP all run
+// it, so they share its component-cache entries.
+func outputSizeComponent(params dp.Params, n int) func(Options, int, *partition.Component) (*Plan, error) {
+	return func(o Options, ci int, c *partition.Component) (*Plan, error) {
+		return o.cachedComponent("oump", params, "", c, func() (*Plan, error) {
+			return maxOutputSizeMono(c.Log, params, o.scoped(compScope(ci, n)))
+		})
+	}
+}
+
 // MaxOutputSize solves O-UMP: the maximum differentially private output size
 // λ for the preprocessed log under the given parameters. The solve runs per
 // connected component (concurrently, bounded by Options.Parallelism) and is
 // exactly additive: no Theorem-1 row spans two components and the objective
 // Σ x_ij is separable.
 func MaxOutputSize(l *searchlog.Log, params dp.Params, opts Options) (*Plan, error) {
-	comps := decomposeFor(l, opts)
-	if comps == nil {
-		return maxOutputSizeMono(l, params, opts.scoped("mono"))
-	}
-	plans, err := solvePerComponent(comps, opts, func(o Options, ci int, c *partition.Component) (*Plan, error) {
-		return o.cachedComponent("oump", params, "", c, func() (*Plan, error) {
-			return maxOutputSizeMono(c.Log, params, o.scoped(compScope(ci, len(comps))))
-		})
-	})
+	comps := components(l, opts)
+	plans, err := solvePerComponent(comps, opts, outputSizeComponent(params, len(comps)))
 	if err != nil {
 		return nil, err
 	}
@@ -161,12 +182,9 @@ func MaxOutputSize(l *searchlog.Log, params dp.Params, opts Options) (*Plan, err
 // the selected pairs receive an output count of one (a single multinomial
 // trial), exactly as §5.3 prescribes. The BIP solves per connected
 // component; with an exact solver the retained-pair count is exactly the
-// monolithic one, and with the SPE heuristics it is at least as large.
+// whole-log one, and with the SPE heuristics it is at least as large.
 func Diversity(l *searchlog.Log, params dp.Params, opts Options) (*Plan, error) {
-	comps := decomposeFor(l, opts)
-	if comps == nil {
-		return diversityMono(l, params, opts)
-	}
+	comps := components(l, opts)
 	plans, err := solvePerComponent(comps, opts, func(o Options, _ int, c *partition.Component) (*Plan, error) {
 		solver := o.Solver
 		if solver == "" {
@@ -193,21 +211,18 @@ func Diversity(l *searchlog.Log, params dp.Params, opts Options) (*Plan, error) 
 // count 1 to each selected pair, like D-UMP.
 //
 // Candidates are selected globally — a query's pairs can span components —
-// and inserted per component, which reproduces the monolithic greedy
+// and inserted per component, which reproduces the whole-log greedy
 // exactly (the insertion order restricted to a component is the component's
 // own insertion order, and feasibility checks touch only rows of the
 // candidate's component).
 func QueryDiversity(l *searchlog.Log, params dp.Params, opts Options) (*Plan, error) {
-	comps := decomposeFor(l, opts)
-	if comps == nil {
-		return queryDiversityMono(l, params, opts)
-	}
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
 	if !searchlog.IsPreprocessed(l) {
 		return nil, dp.ErrNotPreprocessed
 	}
+	comps := components(l, opts)
 	// Global candidate selection needs only each pair's worst coefficient,
 	// computable straight from the histogram — restriction preserves the
 	// coefficients, so no full parent constraint system is built; each
@@ -217,14 +232,10 @@ func QueryDiversity(l *searchlog.Log, params dp.Params, opts Options) (*Plan, er
 	// per-component sort by (maxCoef, local index) preserves the global
 	// order: local index order is parent order restricted.
 	compOfPair := make([]int, l.NumPairs())
-	for ci := range comps {
-		for _, pi := range comps[ci].Pairs {
-			compOfPair[pi] = ci
-		}
-	}
 	localOfPair := make([]int, l.NumPairs())
 	for ci := range comps {
 		for j, pi := range comps[ci].Pairs {
+			compOfPair[pi] = ci
 			localOfPair[pi] = j
 		}
 	}
@@ -274,8 +285,10 @@ func QueryDiversity(l *searchlog.Log, params dp.Params, opts Options) (*Plan, er
 // solves each component at its allocation with the global linearization
 // scale and frequent-pair set. The allocation is a heuristic — the paper's
 // Σx = |O| row genuinely couples components — so the decomposed distance is
-// an upper bound on the monolithic one; it coincides on connected logs,
-// where the decomposition is a no-op.
+// an upper bound on the whole-log one. A single component (a connected log,
+// or the whole log under NoDecompose) takes all of outputSize without the λ
+// phase: its F-UMP LP is infeasible exactly when outputSize exceeds its
+// λ_LP, so it solves one LP, the whole-log model.
 func FrequentSupport(l *searchlog.Log, params dp.Params, minSupport float64, outputSize int, opts Options) (*Plan, error) {
 	if !(minSupport > 0 && minSupport <= 1) {
 		return nil, fmt.Errorf("ump: minimum support must be in (0, 1], got %g", minSupport)
@@ -283,42 +296,40 @@ func FrequentSupport(l *searchlog.Log, params dp.Params, minSupport float64, out
 	if outputSize <= 0 {
 		return nil, fmt.Errorf("ump: output size must be positive, got %d", outputSize)
 	}
-	comps := decomposeFor(l, opts)
-	if comps == nil {
-		return frequentSupportMono(l, params, minSupport, outputSize, opts.scoped("mono"))
+	comps := components(l, opts)
+	alloc := []int{outputSize}
+	var lamPlans []*Plan
+	if len(comps) > 1 {
+		// Phase 1: per-component λ, for the allocation. Capacities come from
+		// the *fractional* λ_LP (floored): any integer allocation s_c ≤
+		// ⌊λ_c^LP⌋ is LP-feasible for its component (scale the λ-achieving
+		// solution down), and the fractional bound is never below the
+		// integral plan's size, so the feasibility precheck stays as close
+		// to the whole-log one (outputSize ≤ λ_LP) as an integral allocation
+		// permits. The λ solves are plain per-component O-UMP, so they share
+		// the "oump" component-cache entries with MaxOutputSize — after an
+		// append, only the components the delta touched re-derive their λ.
+		var err error
+		lamPlans, err = solvePerComponent(comps, opts, outputSizeComponent(params, len(comps)))
+		if err != nil {
+			return nil, err
+		}
+		lambdas := make([]int, len(comps))
+		totalLam := 0
+		for ci, p := range lamPlans {
+			lambdas[ci] = int(math.Floor(p.RelaxationObjective + 1e-7))
+			totalLam += lambdas[ci]
+		}
+		if outputSize > totalLam {
+			return nil, fmt.Errorf("ump: F-UMP infeasible: output size %d exceeds λ = %d for these parameters", outputSize, totalLam)
+		}
+		alloc = allocateProportional(outputSize, lambdas)
 	}
-	// Phase 1: per-component λ, for the allocation. Capacities come from the
-	// *fractional* λ_LP (floored): any integer allocation s_c ≤ ⌊λ_c^LP⌋ is
-	// LP-feasible for its component (scale the λ-achieving solution down),
-	// and the fractional bound is never below the integral plan's size, so
-	// the feasibility precheck stays as close to the monolithic one
-	// (outputSize ≤ λ_LP) as an integral allocation permits.
-	// The λ solves are plain per-component O-UMP, so they share the "oump"
-	// component-cache entries with MaxOutputSize — after an append, only the
-	// components the delta touched re-derive their λ.
-	lamPlans, err := solvePerComponent(comps, opts, func(o Options, ci int, c *partition.Component) (*Plan, error) {
-		return o.cachedComponent("oump", params, "", c, func() (*Plan, error) {
-			return maxOutputSizeMono(c.Log, params, o.scoped(compScope(ci, len(comps))))
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	lambdas := make([]int, len(comps))
-	totalLam := 0
-	for ci, p := range lamPlans {
-		lambdas[ci] = int(math.Floor(p.RelaxationObjective + 1e-7))
-		totalLam += lambdas[ci]
-	}
-	if outputSize > totalLam {
-		return nil, fmt.Errorf("ump: F-UMP infeasible: output size %d exceeds λ = %d for these parameters", outputSize, totalLam)
-	}
-	alloc := allocateProportional(outputSize, lambdas)
 
 	// Phase 2: per-component F-UMP at the allocated sizes. The frequent set
 	// and supports are measured against the parent corpus (component pair
 	// totals equal parent pair totals), and the y rows scale by the global
-	// 1/|O|, so the component LPs are exactly the monolithic model plus the
+	// 1/|O|, so the component LPs are exactly the whole-log model plus the
 	// per-component allocation rows.
 	inSize := float64(l.Size())
 	invO := 1 / float64(outputSize)
@@ -329,6 +340,9 @@ func FrequentSupport(l *searchlog.Log, params dp.Params, minSupport float64, out
 		ccons, err := dp.Build(c.Log, params)
 		if err != nil {
 			return nil, err
+		}
+		if c.Log.NumPairs() == 0 {
+			return nil, fmt.Errorf("ump: empty log cannot meet output size %d", outputSize)
 		}
 		frequent, supIn := frequentPairs(c.Log, minSupport, inSize)
 		return frequentCore(c.Log, ccons, frequent, supIn, invO, alloc[ci], o.scoped(compScope(ci, len(comps))))
@@ -362,7 +376,7 @@ func FrequentSupport(l *searchlog.Log, params dp.Params, minSupport float64, out
 //
 // The model has no row spanning components, so the decomposed solve is
 // exact once the anchor λ_LP is fixed; the decomposed path anchors against
-// the sum of per-component λ_LP, which agrees with the monolithic anchor up
+// the sum of per-component λ_LP, which agrees with the whole-log anchor up
 // to simplex round-off.
 func Combined(l *searchlog.Log, params dp.Params, minSupport float64, w CombinedWeights, opts Options) (*Plan, error) {
 	if err := w.Validate(); err != nil {
@@ -371,17 +385,10 @@ func Combined(l *searchlog.Log, params dp.Params, minSupport float64, w Combined
 	if !(minSupport > 0 && minSupport <= 1) {
 		return nil, fmt.Errorf("ump: minimum support must be in (0, 1], got %g", minSupport)
 	}
-	comps := decomposeFor(l, opts)
-	if comps == nil {
-		return combinedMono(l, params, minSupport, w, opts.scoped("mono"))
-	}
+	comps := components(l, opts)
 	// Phase 1: the λ anchor, from the per-component O-UMP relaxations
 	// (cache-shared with MaxOutputSize, like F-UMP's phase 1).
-	lamPlans, err := solvePerComponent(comps, opts, func(o Options, ci int, c *partition.Component) (*Plan, error) {
-		return o.cachedComponent("oump", params, "", c, func() (*Plan, error) {
-			return maxOutputSizeMono(c.Log, params, o.scoped(compScope(ci, len(comps))))
-		})
-	})
+	lamPlans, err := solvePerComponent(comps, opts, outputSizeComponent(params, len(comps)))
 	if err != nil {
 		return nil, err
 	}
@@ -417,26 +424,6 @@ func Combined(l *searchlog.Log, params dp.Params, minSupport float64, w Combined
 	dist := SupportDistance(l, minSupport, plan.Counts)
 	plan.Objective = w.SizeWeight*float64(plan.OutputSize)/inSize - w.DistanceWeight*dist
 	return plan, nil
-}
-
-// decomposeFor returns the components to solve over, or nil when the
-// monolithic path should run instead: decomposition disabled, an empty log,
-// or a single connected component (where the per-component solve would be
-// the monolithic solve anyway — the nil short-circuit keeps that case
-// bit-identical and copy-free). With a component cache attached, a single
-// connected component still takes the per-component path: the cache must
-// see the component (a connected log shares the parent *Log, so this stays
-// copy-free) or an append that splits off a new component could never reuse
-// the pre-append solve.
-func decomposeFor(l *searchlog.Log, opts Options) []partition.Component {
-	if opts.NoDecompose {
-		return nil
-	}
-	comps := partition.DecomposeCtx(opts.ctx(), l)
-	if len(comps) == 0 || (len(comps) == 1 && opts.Comp == nil) {
-		return nil
-	}
-	return comps
 }
 
 // allocateProportional splits total into per-component shares proportional

@@ -168,6 +168,33 @@ func TestDecomposedMatchesMonolithic(t *testing.T) {
 	}
 }
 
+// TestMaxCoefFromLogMatchesConstraints: Q-UMP picks its candidates from
+// maxCoefFromLog, the histogram shortcut for each pair's largest Theorem-1
+// coefficient. It must equal, exactly, the largest coefficient the pair
+// carries in the built constraint system.
+func TestMaxCoefFromLogMatchesConstraints(t *testing.T) {
+	for _, profile := range []string{"tiny", "tiny-sharded", "small-sharded"} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			pre := decompCorpus(t, profile, seed)
+			cons, err := dp.Build(pre, decompParams)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([]float64, pre.NumPairs())
+			for _, row := range cons.Rows {
+				for _, term := range row.Terms {
+					want[term.Pair] = math.Max(want[term.Pair], term.Coef)
+				}
+			}
+			for i, got := range maxCoefFromLog(pre) {
+				if got != want[i] {
+					t.Fatalf("%s seed %d pair %d: maxCoefFromLog %v, constraint rows %v", profile, seed, i, got, want[i])
+				}
+			}
+		}
+	}
+}
+
 // TestDecomposedComponentsReported checks the Components plumbing.
 func TestDecomposedComponentsReported(t *testing.T) {
 	pre := decompCorpus(t, "tiny-sharded", 1)

@@ -42,43 +42,6 @@ func (w CombinedWeights) Validate() error {
 	return nil
 }
 
-// combinedMono solves the joint utility-maximizing problem over the whole
-// log in one LP (anchored against the monolithic λ_LP). Combined
-// (decompose.go) is the public entry point and carries the model
-// documentation.
-func combinedMono(l *searchlog.Log, params dp.Params, minSupport float64, w CombinedWeights, opts Options) (*Plan, error) {
-	cons, err := dp.Build(l, params)
-	if err != nil {
-		return nil, err
-	}
-	if l.NumPairs() == 0 {
-		return &Plan{Kind: KindCombined, Counts: nil, Components: 1}, nil
-	}
-	// Scale anchor: the achievable output size λ, so x/λ is a support-like
-	// quantity comparable to c/|D|.
-	lamPlan, err := maxOutputSizeMono(l, params, opts)
-	if err != nil {
-		return nil, err
-	}
-	lam := lamPlan.RelaxationObjective
-	if lam < 1 {
-		// Nothing can be released; the λ plan (empty) is the optimum.
-		lamPlan.Kind = KindCombined
-		return lamPlan, nil
-	}
-	inSize := float64(l.Size())
-	frequent, supIn := frequentPairs(l, minSupport, inSize)
-	plan, err := combinedCore(l, cons, frequent, supIn, w.SizeWeight/inSize, w.DistanceWeight, 1/lam, opts)
-	if err != nil {
-		return nil, err
-	}
-	plan.Stats.add(lamPlan.Stats)
-	// Realized joint objective on the integral plan.
-	dist := SupportDistance(l, minSupport, plan.Counts)
-	plan.Objective = w.SizeWeight*float64(plan.OutputSize)/inSize - w.DistanceWeight*dist
-	return plan, nil
-}
-
 // combinedCore solves the joint LP over l (the whole log, or one component
 // sub-log) and returns the integral plan without a realized objective.
 // sizeCoef is the per-unit objective weight w_size/|D| (|D| of the *parent*
@@ -337,22 +300,9 @@ type queryCand struct {
 	maxCoef float64
 }
 
-// maxCoefPerPair returns each pair's largest constraint coefficient — the
-// pair's worst-case per-unit privacy cost across user logs.
-func maxCoefPerPair(cons *dp.Constraints, numPairs int) []float64 {
-	maxCoef := make([]float64, numPairs)
-	for _, row := range cons.Rows {
-		for _, t := range row.Terms {
-			if t.Coef > maxCoef[t.Pair] {
-				maxCoef[t.Pair] = t.Coef
-			}
-		}
-	}
-	return maxCoef
-}
-
-// maxCoefFromLog computes the same worst coefficients straight from the
-// histogram (max entry per pair), without materializing a constraint
+// maxCoefFromLog returns each pair's largest constraint coefficient — the
+// pair's worst-case per-unit privacy cost across user logs — straight from
+// the histogram (max entry per pair), without materializing a constraint
 // system. The log must be preprocessed, or the coefficient is +Inf.
 func maxCoefFromLog(l *searchlog.Log) []float64 {
 	maxCoef := make([]float64, l.NumPairs())
@@ -426,25 +376,4 @@ func greedyInsertCands(cons *dp.Constraints, cands []queryCand, counts []int) in
 		}
 	}
 	return retained
-}
-
-// queryDiversityMono solves Q-UMP over the whole log in one greedy pass.
-// QueryDiversity (decompose.go) is the public entry point.
-func queryDiversityMono(l *searchlog.Log, params dp.Params, opts Options) (*Plan, error) {
-	cons, err := dp.Build(l, params)
-	if err != nil {
-		return nil, err
-	}
-	cands := queryCandidates(l, maxCoefPerPair(cons, l.NumPairs()))
-	counts := make([]int, l.NumPairs())
-	retained := greedyInsertCands(cons, cands, counts)
-	plan := &Plan{
-		Kind:       KindQueryDiversity,
-		Counts:     counts,
-		OutputSize: retained,
-		Objective:  float64(retained),
-		Components: 1,
-	}
-	plan.RelaxationObjective = float64(retained)
-	return plan, nil
 }

@@ -37,6 +37,12 @@ type goldenCase struct {
 	digest string
 }
 
+// goldenConfig is one Options configuration a golden row is solved under.
+type goldenConfig struct {
+	name string
+	opts Options
+}
+
 var goldenPlans = []goldenCase{
 	{1, "oump", 1.5, 51, "c778e3a4bafdc3ebfea8b65294d7a485a71c6a131a324054f22ab08a50ad6e31"},
 	{1, "oump", 1.6, 66, "d06c88b2eaeb3773cf0571a6d84f840cc8f170f283d594f1d27001a95304e584"},
@@ -73,9 +79,11 @@ var goldenPlans = []goldenCase{
 // sparse-LU engine produces on `small` corpora, the component size
 // TestEnginePlanEquality does not reach: O-UMP over the e^ε ladder
 // 1.5…2.5 (δ = 0.5) for generator seeds 1–2, one F-UMP and one C-UMP
-// point, and the rows the last format change moved. A solver change that
-// moves any row changes released bytes: it must bump PlanFormat and
-// re-pin the table.
+// point, and the rows the last format change moved. The seed-1 e^ε = 2
+// O-UMP row and the F-UMP and C-UMP rows are also solved with a component
+// cache attached (what slserve runs) and under NoDecompose, and must give
+// the same plans. A solver change that moves any row changes released
+// bytes: it must bump PlanFormat and re-pin the table.
 //
 // Output sizes are asserted on every architecture. The count digests are
 // asserted on amd64 only: the Go compiler may fuse multiply-adds on other
@@ -97,25 +105,36 @@ func TestGoldenPlansSmall(t *testing.T) {
 		label := fmt.Sprintf("seed %d %s e^eps=%g", gc.seed, gc.kind, gc.eexp)
 		pre := corpora[gc.seed]
 		params := dp.Params{Eps: math.Log(gc.eexp), Delta: 0.5}
-		var plan *Plan
-		var err error
-		switch gc.kind {
-		case "oump":
-			plan, err = MaxOutputSize(pre, params, Options{})
-		case "fump":
-			plan, err = FrequentSupport(pre, params, 0.002, gc.size, Options{})
-		case "cump":
-			plan, err = Combined(pre, params, 0.002, CombinedWeights{SizeWeight: 1, DistanceWeight: 1}, Options{})
+		configs := []goldenConfig{{"default", Options{}}}
+		if gc.kind != "oump" || (gc.seed == 1 && gc.eexp == 2.0) {
+			// The same plans under the configuration slserve runs (a
+			// component cache attached) and the one-component partition.
+			configs = append(configs,
+				goldenConfig{"comp-cache", Options{Comp: NewComponentCache(0)}},
+				goldenConfig{"no-decompose", Options{NoDecompose: true}})
 		}
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		got := planDigest(plan)
-		if plan.OutputSize != gc.size {
-			t.Errorf("%s: output size %d, want %d", label, plan.OutputSize, gc.size)
-		}
-		if checkDigest && got != gc.digest {
-			t.Errorf("%s: plan digest %s, want %s", label, got, gc.digest)
+		for _, cfg := range configs {
+			label := label + " " + cfg.name
+			var plan *Plan
+			var err error
+			switch gc.kind {
+			case "oump":
+				plan, err = MaxOutputSize(pre, params, cfg.opts)
+			case "fump":
+				plan, err = FrequentSupport(pre, params, 0.002, gc.size, cfg.opts)
+			case "cump":
+				plan, err = Combined(pre, params, 0.002, CombinedWeights{SizeWeight: 1, DistanceWeight: 1}, cfg.opts)
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			got := planDigest(plan)
+			if plan.OutputSize != gc.size {
+				t.Errorf("%s: output size %d, want %d", label, plan.OutputSize, gc.size)
+			}
+			if checkDigest && got != gc.digest {
+				t.Errorf("%s: plan digest %s, want %s", label, got, gc.digest)
+			}
 		}
 	}
 }

@@ -187,3 +187,36 @@ func TestComponentCacheDetachesPlans(t *testing.T) {
 		t.Fatal("cached plan was corrupted by caller mutation")
 	}
 }
+
+// TestFrequentSupportConnectedSolvesOneLP: on a connected log F-UMP skips
+// the per-component λ phase (one component takes all of |O|), so even with
+// a component cache attached it solves exactly the F-UMP LP, reuses
+// nothing, and returns the cache-less plan.
+func TestFrequentSupportConnectedSolvesOneLP(t *testing.T) {
+	pre := decompCorpus(t, "tiny", 1)
+	lam, err := MaxOutputSize(pre, decompParams, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lam.Components != 1 || lam.OutputSize < 2 {
+		t.Fatalf("tiny corpus: %d components, λ %d; want a connected log with λ ≥ 2", lam.Components, lam.OutputSize)
+	}
+	size := lam.OutputSize / 2
+	cold, err := FrequentSupport(pre, decompParams, 0.002, size, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached, err := FrequentSupport(pre, decompParams, 0.002, size, Options{Comp: NewComponentCache(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cached.Stats.LPSolves != 1 {
+		t.Errorf("connected F-UMP with a component cache solved %d LPs, want 1", cached.Stats.LPSolves)
+	}
+	if cached.Reused != 0 {
+		t.Errorf("connected F-UMP reused %d components, want 0", cached.Reused)
+	}
+	if !reflect.DeepEqual(cached.Counts, cold.Counts) || cached.Objective != cold.Objective {
+		t.Errorf("cached F-UMP plan (objective %g) differs from the cache-less one (%g)", cached.Objective, cold.Objective)
+	}
+}

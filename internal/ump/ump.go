@@ -123,8 +123,8 @@ type Options struct {
 	// share one pool across different corpora — a mismatched basis is
 	// harmless (it fails warm-start validation) but wastes the lookup.
 	Warm *WarmStarts
-	// warmScope namespaces pool keys by decomposition context (monolithic
-	// vs per-component); set internally by the decompose entry points.
+	// warmScope namespaces pool keys by component (see compScope); set
+	// internally by the decompose entry points.
 	warmScope string
 	// Comp, when non-nil, caches per-component plans by component content
 	// digest so a re-solve after an append only pays for the components the
@@ -144,9 +144,10 @@ type Options struct {
 	// GOMAXPROCS, 1 solves components sequentially). Plans are invariant in
 	// it — only wall-clock changes.
 	Parallelism int
-	// NoDecompose skips the component decomposition and solves the log
-	// monolithically, exactly as before internal/partition existed. It is
-	// the differential-testing and ablation-benchmark baseline.
+	// NoDecompose solves over the one-component partition
+	// (partition.Whole): one LP, BIP or greedy over the whole log, exactly
+	// as before internal/partition existed. It is the differential-testing
+	// and ablation-benchmark baseline.
 	NoDecompose bool
 	// Ctx, when non-nil, carries an obs trace: every LP/BIP solve and the
 	// decomposition record child spans under it. It never affects which
@@ -199,7 +200,7 @@ type Plan struct {
 	// (D-UMP); for a decomposed solve it is the sum over components.
 	Iterations int
 	// Components is the number of connected components the solve decomposed
-	// into (1 for a monolithic solve or a connected log).
+	// into (1 under NoDecompose or for a connected log).
 	Components int
 	// Reused counts the components whose plans were served byte-identically
 	// from an Options.Comp cache instead of re-solving (0 for a cold solve).
@@ -317,7 +318,7 @@ func (o Options) storeWarm(kind string, prob *lp.Problem, sol *lp.Solution) {
 }
 
 // scoped returns a copy of o with the warm-start scope set (decompose.go
-// tags monolithic and per-component solves so their bases never mix).
+// tags each component's solves so their bases never mix).
 func (o Options) scoped(scope string) Options {
 	o.warmScope = scope
 	return o
@@ -480,9 +481,8 @@ func pairCaps(l *searchlog.Log, noBox bool) []int {
 	return caps
 }
 
-// maxOutputSizeMono solves O-UMP over the whole log in one LP. MaxOutputSize
-// (decompose.go) is the public entry point; it runs this per connected
-// component unless Options.NoDecompose forces the monolithic path.
+// maxOutputSizeMono solves O-UMP over l in one LP. MaxOutputSize
+// (decompose.go) is the public entry point; it runs this per component.
 func maxOutputSizeMono(l *searchlog.Log, params dp.Params, opts Options) (*Plan, error) {
 	cons, err := dp.Build(l, params)
 	if err != nil {
@@ -622,31 +622,12 @@ func frequentCore(l *searchlog.Log, cons *dp.Constraints, frequent []int, supIn 
 	}, nil
 }
 
-// frequentSupportMono solves F-UMP over the whole log in one LP.
-// FrequentSupport (decompose.go) is the public entry point.
-func frequentSupportMono(l *searchlog.Log, params dp.Params, minSupport float64, outputSize int, opts Options) (*Plan, error) {
-	cons, err := dp.Build(l, params)
-	if err != nil {
-		return nil, err
-	}
-	if l.NumPairs() == 0 {
-		return nil, fmt.Errorf("ump: empty log cannot meet output size %d", outputSize)
-	}
-	frequent, supIn := frequentPairs(l, minSupport, float64(l.Size()))
-	plan, err := frequentCore(l, cons, frequent, supIn, 1/float64(outputSize), outputSize, opts)
-	if err != nil {
-		return nil, err
-	}
-	// Realized objective at the integral plan.
-	plan.Objective = SupportDistance(l, minSupport, plan.Counts)
-	return plan, nil
-}
-
-// diversityMono solves D-UMP over the whole log in one BIP. Diversity
-// (decompose.go) is the public entry point. Note the default SPE heuristic
-// is *not* decomposition-invariant: it eliminates the globally largest
-// coefficient even when that column's rows are already satisfied, so the
-// per-component solve retains at least as many pairs (see DESIGN.md §6).
+// diversityMono solves D-UMP over l in one BIP. Diversity (decompose.go) is
+// the public entry point; it runs this per component. Note the default SPE
+// heuristic is *not* decomposition-invariant: it eliminates the globally
+// largest coefficient even when that column's rows are already satisfied,
+// so the per-component solve retains at least as many pairs as a whole-log
+// one (see DESIGN.md §6).
 func diversityMono(l *searchlog.Log, params dp.Params, opts Options) (*Plan, error) {
 	cons, err := dp.Build(l, params)
 	if err != nil {
