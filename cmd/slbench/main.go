@@ -1,9 +1,9 @@
 // Command slbench measures the solver hot paths — monolithic vs
-// component-decomposed, sequential vs parallel, dense vs sparse-LU basis
-// engine — plus the multinomial sampling step, the warm-started grid
-// sweeps, the streaming sharded ingest fold and every registered release
-// mechanism end to end, and emits a machine-readable benchmark trajectory
-// (BENCH_pr10.json) that future changes are compared against.
+// component-decomposed, sequential vs parallel — plus the multinomial
+// sampling step, the warm-started grid sweeps, the streaming sharded
+// ingest fold and every registered release mechanism end to end, and emits
+// a machine-readable benchmark trajectory (BENCH_pr10.json) that future
+// changes are compared against.
 //
 // Usage:
 //
@@ -18,9 +18,7 @@
 // are pure solve cost. Single-market profiles (tiny, small) form one giant
 // connected component — there the decomposed rows measure the
 // decomposition's overhead, not a speedup; the *-sharded profiles decompose
-// into one component per market and show the win. The monolithic-dense rows
-// re-run the monolithic O-UMP solve on the legacy dense basis engine: the
-// dense-vs-sparse ratio at equal λ is the PR 3 headline.
+// into one component per market and show the win.
 //
 // The {profile}/mechanism/{name} rows run each mechanism registered in
 // internal/mechanism (ump, laplace, zealous, localdp) through its full
@@ -30,9 +28,12 @@
 // path the server can dispatch to.
 //
 // With -baseline, slbench compares every objective value against the named
-// earlier trajectory by benchmark name and exits nonzero on any mismatch:
-// speed may drift between engines and machines, λ and plan objectives may
-// not.
+// earlier trajectories by benchmark name and exits nonzero on any mismatch
+// (speed may drift between machines, λ and plan objectives may not) or when
+// a baseline shares no row with the run. For each baseline it prints how
+// many rows it compared and names the rows this run did not produce, such
+// as the four output-size rows of BENCH_pr3.json onward that timed the
+// monolithic solve on the dense basis engine, retired with that engine.
 package main
 
 import (
@@ -52,7 +53,6 @@ import (
 	"dpslog/internal/dp"
 	"dpslog/internal/gen"
 	"dpslog/internal/ingest"
-	"dpslog/internal/lp"
 	"dpslog/internal/mechanism"
 	"dpslog/internal/rng"
 	"dpslog/internal/sampling"
@@ -146,22 +146,17 @@ func main() {
 		pre, _ := searchlog.Preprocess(raw)
 
 		modes := []struct {
-			name       string
-			opts       ump.Options
-			par        int
-			objectives string // empty = all
+			name string
+			opts ump.Options
+			par  int
 		}{
-			{"monolithic", ump.Options{NoDecompose: true}, 1, ""},
-			{"monolithic-dense", ump.Options{NoDecompose: true, LP: lp.Options{Engine: lp.EngineDense}}, 1, "output-size"},
-			{"decomposed-p1", ump.Options{Parallelism: 1}, 1, ""},
-			{"decomposed-pmax", ump.Options{}, runtime.GOMAXPROCS(0), ""},
+			{"monolithic", ump.Options{NoDecompose: true}, 1},
+			{"decomposed-p1", ump.Options{Parallelism: 1}, 1},
+			{"decomposed-pmax", ump.Options{}, runtime.GOMAXPROCS(0)},
 		}
 		for _, objective := range strings.Split(*objectives, ",") {
 			objective = strings.TrimSpace(objective)
 			for _, mode := range modes {
-				if mode.objectives != "" && !strings.Contains(mode.objectives, objective) {
-					continue
-				}
 				solve, err := solverFor(objective, pre, params, mode.opts)
 				if err != nil {
 					fatal(err)
@@ -294,7 +289,11 @@ func main() {
 		if base == "" {
 			continue
 		}
-		if err := checkBaseline(traj, base); err != nil {
+		summary, err := checkBaseline(traj, base)
+		if summary != "" {
+			fmt.Fprintf(os.Stderr, "slbench: baseline %s: %s\n", base, summary)
+		}
+		if err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "slbench: objective values match baseline %s\n", base)
@@ -684,40 +683,47 @@ func benchMechanisms(traj *trajectory, profile string, pre *searchlog.Log, seed 
 }
 
 // checkBaseline fails when any benchmark present in both trajectories
-// disagrees on its objective value: engines and machines may change speed,
-// never λ or plan objectives.
-func checkBaseline(traj trajectory, path string) error {
+// disagrees on its objective value (machines may change speed, never λ or
+// plan objectives), or when the two share no benchmark. Its
+// summary counts the baseline rows compared and names those this run did
+// not produce, so a retired or lost row shows in the log.
+func checkBaseline(traj trajectory, path string) (summary string, err error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return fmt.Errorf("baseline: %w", err)
+		return "", fmt.Errorf("baseline: %w", err)
 	}
 	var base trajectory
 	if err := json.Unmarshal(raw, &base); err != nil {
-		return fmt.Errorf("baseline %s: %w", path, err)
+		return "", fmt.Errorf("baseline %s: %w", path, err)
 	}
-	baseVals := make(map[string]float64, len(base.Benchmarks))
-	for _, r := range base.Benchmarks {
-		baseVals[r.Name] = r.ObjectiveValue
-	}
-	var mismatches []string
-	compared := 0
+	got := make(map[string]float64, len(traj.Benchmarks))
 	for _, r := range traj.Benchmarks {
-		want, ok := baseVals[r.Name]
+		got[r.Name] = r.ObjectiveValue
+	}
+	var mismatches, missing []string
+	compared := 0
+	for _, r := range base.Benchmarks {
+		v, ok := got[r.Name]
 		if !ok {
+			missing = append(missing, r.Name)
 			continue
 		}
 		compared++
-		if r.ObjectiveValue != want {
-			mismatches = append(mismatches, fmt.Sprintf("%s: objective %g != baseline %g", r.Name, r.ObjectiveValue, want))
+		if v != r.ObjectiveValue {
+			mismatches = append(mismatches, fmt.Sprintf("%s: objective %g != baseline %g", r.Name, v, r.ObjectiveValue))
 		}
 	}
+	summary = fmt.Sprintf("compared %d of %d rows", compared, len(base.Benchmarks))
+	if len(missing) > 0 {
+		summary += fmt.Sprintf("; not produced by this run: %s", strings.Join(missing, ", "))
+	}
 	if compared == 0 {
-		return fmt.Errorf("baseline %s shares no benchmark names with this run", path)
+		return summary, fmt.Errorf("baseline %s shares no benchmark names with this run", path)
 	}
 	if len(mismatches) > 0 {
-		return fmt.Errorf("objective drift vs %s:\n  %s", path, strings.Join(mismatches, "\n  "))
+		return summary, fmt.Errorf("objective drift vs %s:\n  %s", path, strings.Join(mismatches, "\n  "))
 	}
-	return nil
+	return summary, nil
 }
 
 // solverFor binds one objective solve over the preprocessed corpus.

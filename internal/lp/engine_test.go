@@ -6,40 +6,38 @@ import (
 	"testing"
 )
 
-// TestEnginesAgree differentially tests the sparse LU engine against the
-// dense explicit-inverse engine on random feasible LPs: identical statuses,
-// matching objectives, and a full optimality certificate from both.
+// enginesAgreeStatuses holds the status of each TestEnginesAgree trial as
+// the dense explicit-inverse engine (deleted since) solved it: O optimal,
+// U unbounded. The two engines agreed on every trial when it was recorded.
+const enginesAgreeStatuses = "OOOOOOOOUOOUOUOOOUOOOOOOOOOOOOOOUOOOOUUOOUOUOOOOOOOUOUOOUOOUOOUOOUOOOOOOOOUOUUOU"
+
+// TestEnginesAgree solves random feasible LPs and checks each status
+// against the one the dense engine recorded (61 optimal, 19 unbounded),
+// with a full optimality certificate for every optimal solve.
 func TestEnginesAgree(t *testing.T) {
+	statusOf := map[rune]Status{'O': Optimal, 'U': Unbounded}
 	r := rand.New(rand.NewPCG(2024, 6))
-	for trial := 0; trial < 80; trial++ {
+	for trial, want := range enginesAgreeStatuses {
 		sense := Minimize
 		if trial%2 == 0 {
 			sense = Maximize
 		}
 		p := randomFeasibleLP(r, sense, 1+r.IntN(10), 1+r.IntN(10), true)
-		sparse, err := Solve(p, Options{Engine: EngineSparseLU})
+		sol, err := Solve(p, Options{})
 		if err != nil {
-			t.Fatalf("trial %d sparse: %v", trial, err)
+			t.Fatalf("trial %d: %v", trial, err)
 		}
-		dense, err := Solve(p, Options{Engine: EngineDense})
-		if err != nil {
-			t.Fatalf("trial %d dense: %v", trial, err)
+		if sol.Status != statusOf[want] {
+			t.Fatalf("trial %d: status %v, dense engine recorded %v", trial, sol.Status, statusOf[want])
 		}
-		if sparse.Status != dense.Status {
-			t.Fatalf("trial %d: status sparse %v != dense %v", trial, sparse.Status, dense.Status)
+		if sol.Status == Optimal {
+			checkCertificate(t, p, sol)
 		}
-		if sparse.Status != Optimal {
-			continue
-		}
-		if !approx(sparse.Objective, dense.Objective, 1e-5*(1+math.Abs(dense.Objective))) {
-			t.Fatalf("trial %d: objective sparse %g != dense %g", trial, sparse.Objective, dense.Objective)
-		}
-		checkCertificate(t, p, sparse)
-		checkCertificate(t, p, dense)
 	}
 }
 
 // TestEnginesAgreeOnPackingLPs mirrors the paper's constraint structure.
+// The dense engine solved every trial to optimality.
 func TestEnginesAgreeOnPackingLPs(t *testing.T) {
 	r := rand.New(rand.NewPCG(99, 4))
 	for trial := 0; trial < 40; trial++ {
@@ -58,28 +56,22 @@ func TestEnginesAgreeOnPackingLPs(t *testing.T) {
 				}
 			}
 		}
-		sparse, err := Solve(p, Options{Engine: EngineSparseLU})
+		sol, err := Solve(p, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		dense, err := Solve(p, Options{Engine: EngineDense})
-		if err != nil {
-			t.Fatal(err)
+		if sol.Status != Optimal {
+			t.Fatalf("trial %d: status %v", trial, sol.Status)
 		}
-		if sparse.Status != Optimal || dense.Status != Optimal {
-			t.Fatalf("trial %d: statuses %v/%v", trial, sparse.Status, dense.Status)
-		}
-		if !approx(sparse.Objective, dense.Objective, 1e-5*(1+dense.Objective)) {
-			t.Fatalf("trial %d: λ sparse %g != dense %g", trial, sparse.Objective, dense.Objective)
-		}
-		checkCertificate(t, p, sparse)
+		checkCertificate(t, p, sol)
 	}
 }
 
-// TestLUFactorMatchesDense exercises the factor primitives directly on a
-// random nonsingular sparse basis: FTRAN, BTRAN and pivot rows must agree
-// with the dense inverse, including after eta updates.
-func TestLUFactorMatchesDense(t *testing.T) {
+// TestLUFactorResiduals exercises the factor primitives directly on a
+// random nonsingular sparse basis B: FTRAN, BTRAN and pivot rows must solve
+// their systems against B to 1e-6 relative, before and after an eta update
+// (checked against the updated basis).
+func TestLUFactorResiduals(t *testing.T) {
 	r := rand.New(rand.NewPCG(7, 11))
 	for trial := 0; trial < 30; trial++ {
 		m := 2 + r.IntN(25)
@@ -98,69 +90,83 @@ func TestLUFactorMatchesDense(t *testing.T) {
 			cols[j] = col
 		}
 		lu := newLUFactor(m)
-		de := newDenseFactor(m)
-		if !lu.refactor(basis, cols) || !de.refactor(basis, cols) {
+		if !lu.refactor(basis, cols) {
 			continue // singular draw; skip
 		}
-		checkFactorsAgree(t, m, lu, de, cols, r)
+		checkFactorResiduals(t, m, lu, basis, cols, r)
 
 		// One eta update: replace a random basis position with a random new
-		// column and verify both representations still agree.
+		// column and verify the factor now solves against the new basis.
 		pos := r.IntN(m)
 		newCol := []nz{{row: int32(r.IntN(m)), val: 1 + r.Float64()}, {row: int32(pos), val: 1 + r.Float64()}}
-		wLU := make([]float64, m)
-		lu.ftranCol(newCol, wLU)
-		wDe := make([]float64, m)
-		de.ftranCol(newCol, wDe)
-		if math.Abs(wLU[pos]) < 1e-6 {
+		w := make([]float64, m)
+		lu.ftranCol(newCol, w)
+		if math.Abs(w[pos]) < 1e-6 {
 			continue // unstable pivot for this random draw
 		}
-		if !lu.willAccept(pos, wLU) {
+		if !lu.willAccept(pos, w) {
 			continue
 		}
-		lu.update(pos, wLU)
-		de.update(pos, wDe)
+		lu.update(pos, w)
 		cols = append(cols, newCol)
 		basis[pos] = len(cols) - 1
-		checkFactorsAgree(t, m, lu, de, cols, r)
+		checkFactorResiduals(t, m, lu, basis, cols, r)
 	}
 }
 
-func checkFactorsAgree(t *testing.T, m int, lu, de basisFactor, cols [][]nz, r *rand.Rand) {
+// checkFactorResiduals checks B·ftranCol(a) = a, Bᵀ·btran(x) = x and
+// pivotRow(r)·B = e_rᵀ, where column i of B is cols[basis[i]].
+func checkFactorResiduals(t *testing.T, m int, f basisFactor, basis []int, cols [][]nz, r *rand.Rand) {
 	t.Helper()
-	// FTRAN of a random sparse column.
-	col := []nz{{row: int32(r.IntN(m)), val: r.Float64() + 0.5}}
-	a := make([]float64, m)
-	b := make([]float64, m)
-	lu.ftranCol(col, a)
-	de.ftranCol(col, b)
-	for i := range a {
-		if !approx(a[i], b[i], 1e-6*(1+math.Abs(b[i]))) {
-			t.Fatalf("ftran mismatch at %d: lu %g dense %g", i, a[i], b[i])
+	// mul returns B·v (trans false) or Bᵀ·v (trans true).
+	mul := func(v []float64, trans bool) []float64 {
+		out := make([]float64, m)
+		for c := 0; c < m; c++ {
+			for _, e := range cols[basis[c]] {
+				if trans {
+					out[c] += e.val * v[e.row]
+				} else {
+					out[e.row] += e.val * v[c]
+				}
+			}
+		}
+		return out
+	}
+	check := func(what string, got, want []float64) {
+		t.Helper()
+		for i := range want {
+			if !approx(got[i], want[i], 1e-6*(1+math.Abs(want[i]))) {
+				t.Fatalf("%s residual at %d: got %g, want %g", what, i, got[i], want[i])
+			}
 		}
 	}
+	// FTRAN of a random sparse column.
+	a := make([]float64, m)
+	var col []nz
+	for i, k := 0, r.IntN(m); i < m; i++ {
+		if i == k || r.Float64() < 0.3 {
+			a[i] = r.Float64() + 0.5
+			col = append(col, nz{row: int32(i), val: a[i]})
+		}
+	}
+	w := make([]float64, m)
+	f.ftranCol(col, w)
+	check("B·ftranCol(a) = a", mul(w, false), a)
 	// BTRAN of a random dense vector.
 	x := make([]float64, m)
 	for i := range x {
 		x[i] = r.Float64()*2 - 1
 	}
 	y := append([]float64(nil), x...)
-	lu.btran(x)
-	de.btran(y)
-	for i := range x {
-		if !approx(x[i], y[i], 1e-6*(1+math.Abs(y[i]))) {
-			t.Fatalf("btran mismatch at %d: lu %g dense %g", i, x[i], y[i])
-		}
-	}
+	f.btran(y)
+	check("Bᵀ·btran(x) = x", mul(y, true), x)
 	// A pivot row.
 	pr := r.IntN(m)
-	lu.pivotRow(pr, x)
-	de.pivotRow(pr, y)
-	for i := range x {
-		if !approx(x[i], y[i], 1e-6*(1+math.Abs(y[i]))) {
-			t.Fatalf("pivotRow mismatch at %d: lu %g dense %g", i, x[i], y[i])
-		}
-	}
+	rho := make([]float64, m)
+	f.pivotRow(pr, rho)
+	e := make([]float64, m)
+	e[pr] = 1
+	check("pivotRow(r)·B = e_r", mul(rho, true), e)
 }
 
 // buildPackingLP constructs a deterministic packing LP shaped like the
@@ -289,27 +295,6 @@ func TestWarmStartInvalidFallsBack(t *testing.T) {
 		if sol.Status != Optimal || !approx(sol.Objective, cold.Objective, 1e-7*(1+cold.Objective)) {
 			t.Fatalf("bad basis %d: status %v obj %g, want optimal %g", i, sol.Status, sol.Objective, cold.Objective)
 		}
-	}
-}
-
-// TestWarmStartAcrossEngines: a dense-engine basis warms a sparse-engine
-// solve and vice versa (snapshots are representation-independent).
-func TestWarmStartAcrossEngines(t *testing.T) {
-	r := rand.New(rand.NewPCG(12, 13))
-	p := buildPackingLP(r, 40, 20, 0.9)
-	dense, err := Solve(p, Options{Engine: EngineDense})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sparse, err := Solve(p, Options{Engine: EngineSparseLU, WarmStart: dense.Basis})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sparse.Status != Optimal || !approx(sparse.Objective, dense.Objective, 1e-7*(1+dense.Objective)) {
-		t.Fatalf("cross-engine warm start: %v %g vs %g", sparse.Status, sparse.Objective, dense.Objective)
-	}
-	if sparse.Iterations > dense.Iterations {
-		t.Errorf("cross-engine warm start cost %d iterations vs %d cold", sparse.Iterations, dense.Iterations)
 	}
 }
 

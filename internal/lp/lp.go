@@ -1,8 +1,8 @@
 // Package lp implements a self-contained linear programming solver: a
 // bounded-variable, two-phase revised simplex method with sparse constraint
 // columns, Devex pricing and a sparse LU factorization of the basis updated
-// by a product-form eta file (a dense explicit inverse remains selectable
-// as Options.Engine = EngineDense).
+// by a product-form eta file, refactorized once the eta file costs more to
+// apply than the factors.
 //
 // The solver targets the optimization problems of the paper's utility
 // maximization (O-UMP and F-UMP and the LP relaxations used by the BIP
@@ -180,20 +180,6 @@ func (p *Problem) validate() error {
 	return nil
 }
 
-// Engine selects the basis-inverse representation of the simplex engine.
-type Engine int
-
-const (
-	// EngineSparseLU (the default) factorizes the basis as a sparse
-	// Markowitz-ordered LU with product-form eta updates, refactorized once
-	// the eta file outweighs the factors.
-	EngineSparseLU Engine = iota
-	// EngineDense maintains the explicit dense m×m basis inverse — the
-	// original engine, kept for differential testing and the
-	// dense-vs-sparse benchmark comparison.
-	EngineDense
-)
-
 // Basis statuses, matching the solver's internal nonbasic/basic encoding.
 const (
 	// BasisAtLower marks a variable nonbasic at its lower bound (or a row
@@ -274,13 +260,12 @@ type SolveStats struct {
 	// Refactorizations counts basis factorizations, including the initial
 	// (cold or warm) one, so it is at least 1 for any solve that ran.
 	Refactorizations int
-	// EtaLength is the peak product-form eta-file length observed between
-	// refactorizations (update count for the dense engine).
+	// EtaLength is the peak product-form eta-file length (etas appended)
+	// observed between refactorizations.
 	EtaLength int
 	// EtaNonzeros is the peak number of entries the eta file held between
-	// refactorizations, pivots included — the quantity the sparse engine's
-	// refactorization rule bounds. The dense engine keeps no eta file and
-	// reports 0.
+	// refactorizations, pivots included — the quantity the
+	// refactorization rule bounds.
 	EtaNonzeros int
 	// WarmAttempted reports that a warm-start basis was supplied.
 	WarmAttempted bool
@@ -293,16 +278,10 @@ type SolveStats struct {
 type Options struct {
 	// MaxIterations bounds total pivots; 0 means 50·(m+n)+10000.
 	MaxIterations int
-	// Tol is the feasibility/optimality tolerance; 0 means 1e-9 scaled
-	// internally.
-	Tol float64
 	// Bland forces Bland's rule from the first iteration (used by the pricing
 	// ablation benchmark). The default is Devex pricing with an automatic
 	// Bland fallback under degeneracy.
 	Bland bool
-	// Engine selects the basis representation; the zero value is the sparse
-	// LU engine.
-	Engine Engine
 	// WarmStart seeds the solve with a prior basis snapshot. Invalid or
 	// infeasible snapshots fall back to a cold start.
 	WarmStart *Basis
@@ -348,9 +327,9 @@ func Solve(p *Problem, opts Options) (*Solution, error) {
 // solveCore runs the simplex proper on an already-reduced problem.
 func solveCore(p *Problem, opts Options, warm *Basis) (*Solution, error) {
 	s := newSolver(p, opts)
-	warmAccepted := warm != nil && s.warmStart(opts.Engine, warm)
+	warmAccepted := warm != nil && s.warmStart(warm)
 	if !warmAccepted {
-		s.coldStart(opts.Engine)
+		s.coldStart()
 	}
 	sol, err := s.solve()
 	if sol != nil {

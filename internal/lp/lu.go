@@ -2,7 +2,7 @@ package lp
 
 import "math"
 
-// luFactor is the sparse engine: a sparse LU factorization of the basis
+// luFactor is the basis representation: a sparse LU factorization of the basis
 // (P·B·Q = L·U) maintained between refactorizations by a product-form eta
 // file. Columns are factorized in ascending-nonzero-count order (the static
 // Markowitz rule — cheapest columns first keeps fill low on the extremely

@@ -19,13 +19,11 @@ const (
 // Pricing uses the Devex rule with incrementally maintained reduced costs:
 // each pivot updates d and the Devex reference weights in one O(nnz) pass
 // over the pivot row, and full dual recomputation happens only on periodic
-// refreshes. The basis inverse lives behind the basisFactor interface: the
-// default sparse LU engine pays O(nnz of the factors and etas) per
+// refreshes. The basis inverse is a sparse LU factorization behind the
+// basisFactor interface: it pays O(nnz of the factors and etas) per
 // FTRAN/BTRAN and appends a product-form eta per pivot, refactorizing when
 // the eta file outweighs the factors, when a pivot is unstable, and
-// periodically; the legacy dense engine keeps the explicit m×m inverse
-// (O(m²) per pivot) for differential testing and the BENCH_pr3
-// dense-vs-sparse comparison.
+// periodically.
 type solver struct {
 	m, n    int // rows, total columns (structural + slack + artificial)
 	nStruct int // structural column count
@@ -80,13 +78,10 @@ func newSolver(p *Problem, opts Options) *solver {
 	s := &solver{
 		m:       m,
 		nStruct: nStruct,
-		tol:     opts.Tol,
+		tol:     1e-9,
 		maxIter: opts.MaxIterations,
 		bland:   opts.Bland,
 		ops:     p.ops,
-	}
-	if s.tol <= 0 {
-		s.tol = 1e-9
 	}
 	s.ztol = 1e-11
 	if s.maxIter <= 0 {
@@ -139,14 +134,6 @@ func newSolver(p *Problem, opts Options) *solver {
 	return s
 }
 
-// newFactor builds the basis representation for the configured engine.
-func newFactor(engine Engine, m int) basisFactor {
-	if engine == EngineDense {
-		return newDenseFactor(m)
-	}
-	return newLUFactor(m)
-}
-
 // finishInit sizes the iteration workspace once the basis (and any
 // artificial columns) are in place.
 func (s *solver) finishInit() {
@@ -161,7 +148,7 @@ func (s *solver) finishInit() {
 // coldStart installs the standard slack/artificial starting basis: every
 // structural variable at a finite bound, slacks basic where feasible,
 // artificials elsewhere.
-func (s *solver) coldStart(engine Engine) {
+func (s *solver) coldStart() {
 	m := s.m
 	// Initial nonbasic point: every variable at a finite bound.
 	for j := 0; j < len(s.cols); j++ {
@@ -233,7 +220,7 @@ func (s *solver) coldStart(engine Engine) {
 		binvDiag[i] = val // inverse of ±1 is itself
 		s.nArtificial++
 	}
-	s.factor = newFactor(engine, m)
+	s.factor = newLUFactor(m)
 	s.factor.initDiag(binvDiag)
 	s.refactors++
 	s.finishInit()
@@ -244,7 +231,7 @@ func (s *solver) coldStart(engine Engine) {
 // basic-column count, singular basis, or primal infeasibility under the
 // current bounds and right-hand side — it reports false without touching
 // the solver, and the caller falls back to a cold start.
-func (s *solver) warmStart(engine Engine, bs *Basis) bool {
+func (s *solver) warmStart(bs *Basis) bool {
 	m := s.m
 	if bs == nil || len(bs.Vars) != s.nStruct || len(bs.Rows) != m {
 		return false
@@ -325,7 +312,7 @@ func (s *solver) warmStart(engine Engine, bs *Basis) bool {
 		s.basis[i] = j
 		s.pos[j] = int32(i)
 	}
-	s.factor = newFactor(engine, m)
+	s.factor = newLUFactor(m)
 	if m > 0 && !s.factor.refactor(s.basis, s.cols) {
 		return rollback()
 	}

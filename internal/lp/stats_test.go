@@ -29,58 +29,45 @@ func statsProblem(seed uint64) *Problem {
 }
 
 func TestSolveStatsColdAndWarm(t *testing.T) {
-	for _, eng := range []Engine{EngineSparseLU, EngineDense} {
-		cold, err := Solve(statsProblem(7), Options{Engine: eng})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cold.Status != Optimal {
-			t.Fatalf("engine %v: status %v", eng, cold.Status)
-		}
-		st := cold.Stats
-		if st.Refactorizations < 1 {
-			t.Errorf("engine %v: refactorizations = %d, want >= 1", eng, st.Refactorizations)
-		}
-		if st.PresolveRows < 2 {
-			t.Errorf("engine %v: presolve rows = %d, want >= 2 (singleton + redundant)", eng, st.PresolveRows)
-		}
-		if st.PresolveCols < 0 {
-			t.Errorf("engine %v: negative presolve cols %d", eng, st.PresolveCols)
-		}
-		if st.WarmAttempted || st.WarmAccepted {
-			t.Errorf("engine %v: cold solve reported warm flags %+v", eng, st)
-		}
-		if cold.Iterations > 0 && st.EtaLength < 1 {
-			t.Errorf("engine %v: %d iterations but eta peak %d", eng, cold.Iterations, st.EtaLength)
-		}
+	cold, err := Solve(statsProblem(7), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.Status != Optimal {
+		t.Fatalf("status %v", cold.Status)
+	}
+	st := cold.Stats
+	if st.Refactorizations < 1 {
+		t.Errorf("refactorizations = %d, want >= 1", st.Refactorizations)
+	}
+	if st.PresolveRows < 2 {
+		t.Errorf("presolve rows = %d, want >= 2 (singleton + redundant)", st.PresolveRows)
+	}
+	if st.PresolveCols < 0 {
+		t.Errorf("negative presolve cols %d", st.PresolveCols)
+	}
+	if st.WarmAttempted || st.WarmAccepted {
+		t.Errorf("cold solve reported warm flags %+v", st)
+	}
+	if cold.Iterations > 0 && st.EtaLength < 1 {
+		t.Errorf("%d iterations but eta peak %d", cold.Iterations, st.EtaLength)
+	}
 
-		warm, err := Solve(statsProblem(7), Options{Engine: eng, WarmStart: cold.Basis})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if warm.Status != Optimal || !approx(warm.Objective, cold.Objective, testTol) {
-			t.Fatalf("engine %v: warm resolve diverged: %v %g vs %g",
-				eng, warm.Status, warm.Objective, cold.Objective)
-		}
-		if !warm.Stats.WarmAttempted {
-			t.Errorf("engine %v: warm solve flags %+v, want attempted", eng, warm.Stats)
-		}
-		// Acceptance is only guaranteed for the engine's own default path:
-		// a degenerate alternative optimum can map through presolve to a
-		// snapshot the feasibility check rejects, which is the designed
-		// silent cold fallback. The sparse LU default must accept.
-		if eng == EngineSparseLU {
-			if !warm.Stats.WarmAccepted {
-				t.Errorf("sparse LU: warm basis rejected: %+v", warm.Stats)
-			}
-			if warm.Iterations > cold.Iterations {
-				t.Errorf("sparse LU: warm start took more iterations (%d) than cold (%d)",
-					warm.Iterations, cold.Iterations)
-			}
-		}
-		if warm.Stats.Refactorizations < 1 {
-			t.Errorf("engine %v: warm refactorizations = %d", eng, warm.Stats.Refactorizations)
-		}
+	warm, err := Solve(statsProblem(7), Options{WarmStart: cold.Basis})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Status != Optimal || !approx(warm.Objective, cold.Objective, testTol) {
+		t.Fatalf("warm resolve diverged: %v %g vs %g", warm.Status, warm.Objective, cold.Objective)
+	}
+	if !warm.Stats.WarmAttempted || !warm.Stats.WarmAccepted {
+		t.Errorf("warm solve flags %+v, want attempted and accepted", warm.Stats)
+	}
+	if warm.Iterations > cold.Iterations {
+		t.Errorf("warm start took more iterations (%d) than cold (%d)", warm.Iterations, cold.Iterations)
+	}
+	if warm.Stats.Refactorizations < 1 {
+		t.Errorf("warm refactorizations = %d", warm.Stats.Refactorizations)
 	}
 }
 
@@ -146,7 +133,7 @@ func (c *etaBoundCheck) rebuild(basis []int, cols [][]nz) bool {
 	return true
 }
 
-// etaProblem is large enough that the sparse engine's eta file outgrows
+// etaProblem is large enough that the eta file outgrows
 // its factors several times in one solve.
 func etaProblem(seed uint64) *Problem {
 	rng := rand.New(rand.NewPCG(seed, seed^0xbeef))
@@ -165,46 +152,36 @@ func etaProblem(seed uint64) *Problem {
 }
 
 func TestEtaNonzerosBound(t *testing.T) {
-	for _, eng := range []Engine{EngineSparseLU, EngineDense} {
-		sol, err := Solve(etaProblem(5), Options{Engine: eng, NoPresolve: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sol.Status != Optimal {
-			t.Fatalf("engine %v: status %v", eng, sol.Status)
-		}
+	sol, err := Solve(etaProblem(5), Options{NoPresolve: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Status != Optimal {
+		t.Fatalf("status %v", sol.Status)
+	}
 
-		// The same solve, step by step, with the factor under watch.
-		s := newSolver(etaProblem(5), Options{Engine: eng})
-		s.coldStart(eng)
-		check := &etaBoundCheck{basisFactor: s.factor, t: t}
-		s.factor = check
-		again, err := s.solve()
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.sampleEta()
-		if again.Iterations != sol.Iterations || s.etaNnzPeak != sol.Stats.EtaNonzeros {
-			t.Fatalf("engine %v: watched solve diverged: %d iterations, eta peak %d; want %d, %d",
-				eng, again.Iterations, s.etaNnzPeak, sol.Iterations, sol.Stats.EtaNonzeros)
-		}
-		if sol.Stats.EtaNonzeros != check.peak {
-			t.Errorf("engine %v: reported eta peak %d, observed %d", eng, sol.Stats.EtaNonzeros, check.peak)
-		}
-		switch eng {
-		case EngineSparseLU:
-			if check.costRefacs == 0 {
-				t.Errorf("sparse LU: the cost rule never fired in %d iterations", sol.Iterations)
-			}
-			if sol.Stats.EtaNonzeros < sol.Stats.EtaLength {
-				t.Errorf("sparse LU: eta peak %d nonzeros below its %d etas", sol.Stats.EtaNonzeros, sol.Stats.EtaLength)
-			}
-		case EngineDense:
-			if sol.Stats.EtaNonzeros != 0 || check.costRefacs != 0 {
-				t.Errorf("dense: eta nonzeros %d, cost refactorizations %d; it keeps no eta file",
-					sol.Stats.EtaNonzeros, check.costRefacs)
-			}
-		}
+	// The same solve, step by step, with the factor under watch.
+	s := newSolver(etaProblem(5), Options{})
+	s.coldStart()
+	check := &etaBoundCheck{basisFactor: s.factor, t: t}
+	s.factor = check
+	again, err := s.solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.sampleEta()
+	if again.Iterations != sol.Iterations || s.etaNnzPeak != sol.Stats.EtaNonzeros {
+		t.Fatalf("watched solve diverged: %d iterations, eta peak %d; want %d, %d",
+			again.Iterations, s.etaNnzPeak, sol.Iterations, sol.Stats.EtaNonzeros)
+	}
+	if sol.Stats.EtaNonzeros != check.peak {
+		t.Errorf("reported eta peak %d, observed %d", sol.Stats.EtaNonzeros, check.peak)
+	}
+	if check.costRefacs == 0 {
+		t.Errorf("the cost rule never fired in %d iterations", sol.Iterations)
+	}
+	if sol.Stats.EtaNonzeros < sol.Stats.EtaLength {
+		t.Errorf("eta peak %d nonzeros below its %d etas", sol.Stats.EtaNonzeros, sol.Stats.EtaLength)
 	}
 }
 
@@ -214,7 +191,7 @@ func TestEtaNonzerosBound(t *testing.T) {
 // recomputation and its FTRAN must all reuse memory the solver holds.
 func TestRefactorizeAllocs(t *testing.T) {
 	s := newSolver(etaProblem(5), Options{})
-	s.coldStart(EngineSparseLU)
+	s.coldStart()
 	if _, err := s.solve(); err != nil {
 		t.Fatal(err)
 	}
